@@ -80,7 +80,7 @@ type config struct {
 	seconds  time.Duration
 	trace    bool
 	size     size
-	dir      string // scratch space inside the checkout: spans, durable logs
+	dir      string // where spans and durable logs go, inside the checkout
 	workers  int
 }
 
