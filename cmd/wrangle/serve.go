@@ -374,10 +374,13 @@ func (st *serveState) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return
 			}
-			fl.Flush()
+			// Count before Flush: once the frame reaches the client, a
+			// reader may scrape the counters, and they must already
+			// include the frame it holds.
 			st.watchFrames.Inc()
 			st.watchBytes.Add(int64(n))
 			st.watchLatency.Observe(time.Since(c.View.PublishedAt()).Seconds())
+			fl.Flush()
 			if c.Evicted {
 				return
 			}

@@ -37,6 +37,19 @@ type ReactStats struct {
 	// sessions report zeros.
 	ShardsResolved int
 	ShardsReused   int
+	// AffectedRows, DirtyComponents, ReusedComponents and RowsPrepared
+	// report the dirty frontier of a streaming tail's incremental
+	// re-plan: the union rows the delta touched (dirty rows plus rows
+	// sharing a changed block or constraint), the block-connected
+	// components that re-resolved versus carried their clusters over,
+	// and the rows whose matcher features were derived (the rest were
+	// carried from the previous round). A re-plan with no previous round
+	// to carry from reports every component dirty and every row
+	// prepared; non-streaming tails report zeros.
+	AffectedRows     int
+	DirtyComponents  int
+	ReusedComponents int
+	RowsPrepared     int
 	// TrustComponents and TrustRecomputed report the component shape of
 	// the reaction's trust estimation: how many trust-coupled connected
 	// components the claim set split into and how many actually

@@ -183,6 +183,12 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	}
 	stats.Stages["integrate"] = time.Since(start)
 	stats.ShardsResolved, stats.ShardsReused = sr.resolvedShards()
+	if rp := sr.rp; rp != nil {
+		stats.AffectedRows = rp.AffectedRows
+		stats.DirtyComponents = rp.DirtyComponents
+		stats.ReusedComponents = rp.ReusedComponents
+		stats.RowsPrepared = rp.RowsPrepared
+	}
 	return nil
 }
 

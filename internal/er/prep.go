@@ -95,16 +95,32 @@ type tableFeatures struct {
 
 	keyCol, nameCol, secCol, numCol string
 	gram                            int
+	// Schema positions the rows were read through (-1 = absent). A row
+	// entry carried into the next round is only valid when its values
+	// sit at the same positions.
+	ki, ni, si, pi int
 
 	rows []rowFeatures
 
-	// Distinct-value tables, indexed by rowFeatures.nameID / secID.
+	// Distinct-value registries, indexed by rowFeatures.nameID / secID.
+	// Ids are append-only, so a carried row entry's id stays valid; a
+	// value no row references any more keeps its slot (refs 0) until a
+	// full Prepare rebuilds the registries.
 	names     [][]rune
 	nameToks  [][][]rune
+	nameIDs   map[string]int
+	nameRefs  []int
+	liveNames int
 	secStrs   []string
 	secRunes  [][]rune
-	nameMemo  simMemo
-	secMemo   simMemo
+	secIDs    map[string]int
+	secRefs   []int
+	liveSecs  int
+
+	// The similarity memos are per round: they fill during the resolve
+	// fan-out and are never carried.
+	nameMemo simMemo
+	secMemo  simMemo
 }
 
 // nameSim is the name feature for two prepared rows, memoized per
@@ -147,90 +163,199 @@ func colIndex(s dataset.Schema, name string) int {
 	return s.Index(name)
 }
 
-// Prepare precomputes the per-row feature state for t, replacing any
-// previous state. Resolve, ResolveConstrained, PlanShards and RePlan call
-// it on entry; callers driving Features or ResolveShard directly may call
-// it themselves to get the allocation-free path. Prepare must not run
-// concurrently with Features (the resolve fan-out reads the state it
-// installs), which the pipeline's plan-stage/fan-out ordering guarantees.
-func (r *Resolver) Prepare(t *dataset.Table) {
+// newFeatures returns empty feature state for t under the resolver's
+// current configuration: rows allocated, registries not yet attached.
+func (r *Resolver) newFeatures(t *dataset.Table) *tableFeatures {
 	schema := t.Schema()
-	ki := colIndex(schema, r.KeyColumn)
-	ni := colIndex(schema, r.NameColumn)
-	si := colIndex(schema, r.SecondaryColumn)
-	pi := colIndex(schema, r.NumericColumn)
-	p := &tableFeatures{
+	return &tableFeatures{
 		t:       t,
 		keyCol:  r.KeyColumn,
 		nameCol: r.NameColumn,
 		secCol:  r.SecondaryColumn,
 		numCol:  r.NumericColumn,
 		gram:    r.BlockGramSize,
+		ki:      colIndex(schema, r.KeyColumn),
+		ni:      colIndex(schema, r.NameColumn),
+		si:      colIndex(schema, r.SecondaryColumn),
+		pi:      colIndex(schema, r.NumericColumn),
 		rows:    make([]rowFeatures, t.Len()),
 	}
-	// Distinct-value registries: tokenization, rune conversion and q-gram
-	// block keys are computed once per distinct normalized value, and the
-	// row entries alias the shared slices.
-	nameIDs := map[string]int{}
-	nameGrams := [][]string{} // per distinct name: its "g:" block keys
-	secIDs := map[string]int{}
-	seen := map[string]bool{} // per-name block-key dedup scratch
-	for i := 0; i < t.Len(); i++ {
-		row := t.Row(i)
-		rf := &p.rows[i]
-		if ki >= 0 && !row[ki].IsNull() {
-			rf.keyOK = true
-			rf.key = text.Normalize(row[ki].String())
-			rf.blockKeys = append(rf.blockKeys, "k:"+rf.key)
-		}
-		if ni >= 0 && !row[ni].IsNull() {
-			rf.nameOK = true
-			toks := text.Tokenize(row[ni].String())
-			// Normalize is Tokenize rejoined on single spaces, so the
-			// normalized string falls out of the token pass for free.
-			norm := strings.Join(toks, " ")
-			id, ok := nameIDs[norm]
-			if !ok {
-				id = len(p.names)
-				nameIDs[norm] = id
-				p.names = append(p.names, []rune(norm))
-				p.nameToks = append(p.nameToks, text.TokenRunes(toks))
-				clear(seen)
-				var grams []string
-				for _, tok := range toks {
-					for _, g := range text.QGrams(tok, r.BlockGramSize) {
-						key := "g:" + g
-						if !seen[key] {
-							seen[key] = true
-							grams = append(grams, key)
-						}
-					}
-				}
-				nameGrams = append(nameGrams, grams)
-			}
-			rf.nameID = id
-			rf.name = p.names[id]
-			rf.nameToks = p.nameToks[id]
-			rf.blockKeys = append(rf.blockKeys, nameGrams[id]...)
-		}
-		if si >= 0 && !row[si].IsNull() {
-			rf.secOK = true
-			norm := text.Normalize(row[si].String())
-			id, ok := secIDs[norm]
-			if !ok {
-				id = len(p.secStrs)
-				secIDs[norm] = id
-				p.secStrs = append(p.secStrs, norm)
-				p.secRunes = append(p.secRunes, []rune(norm))
-			}
-			rf.secID = id
-			rf.sec = p.secStrs[id]
-			rf.secRunes = p.secRunes[id]
-		}
-		if pi >= 0 && row[pi].IsNumeric() {
-			rf.numOK = true
-			rf.num = row[pi].FloatVal()
-		}
+}
+
+// Prepare precomputes the per-row feature state for t, replacing any
+// previous state. Resolve, ResolveConstrained and PlanShards call it on
+// entry (RePlan carries the previous round's state instead and prepares
+// only dirty rows); callers driving Features or ResolveShard directly may
+// call it themselves to get the allocation-free path. Prepare must not
+// run concurrently with Features (the resolve fan-out reads the state it
+// installs), which the pipeline's plan-stage/fan-out ordering guarantees.
+func (r *Resolver) Prepare(t *dataset.Table) {
+	p := r.newFeatures(t)
+	p.nameIDs = map[string]int{}
+	p.secIDs = map[string]int{}
+	sc := prepScratch{seen: map[string]bool{}}
+	for i := range p.rows {
+		p.prepareRow(t.Row(i), &p.rows[i], &sc)
 	}
 	r.prep = p
+}
+
+// prepareDelta is Prepare for a table that differs from prev's only in
+// the rows named by dirty (row keys; rows that appeared or disappeared
+// included). rowIdx maps a stable row key to its row in t, prevKey a
+// row of prev's table to its key. Every clean row adopts prev's entry,
+// and prev's registries are carried over, so only dirty rows touch the
+// string machinery. The carried state equals a fresh Prepare row for
+// row: an entry is a function of the row's values and the configuration,
+// both unchanged for a clean row. prev is consumed — its registries move
+// into the new state. When the registries have accumulated more dead
+// values than live ones, or prev was built under another configuration,
+// the state is rebuilt from scratch instead; both rules depend only on
+// the data. Returns the number of rows whose entries were derived.
+func (r *Resolver) prepareDelta(t *dataset.Table, rowIdx map[string]int, dirty map[string]bool, prev *tableFeatures, prevKey func(int) string) int {
+	p := r.newFeatures(t)
+	if !p.carries(prev) {
+		r.Prepare(t)
+		return t.Len()
+	}
+	p.names, p.nameToks, p.nameIDs = prev.names, prev.nameToks, prev.nameIDs
+	p.nameRefs, p.liveNames = prev.nameRefs, prev.liveNames
+	p.secStrs, p.secRunes, p.secIDs = prev.secStrs, prev.secRunes, prev.secIDs
+	p.secRefs, p.liveSecs = prev.secRefs, prev.liveSecs
+	carried := make([]bool, len(p.rows))
+	for j := range prev.rows {
+		k := prevKey(j)
+		if i, ok := rowIdx[k]; ok && !dirty[k] && !carried[i] {
+			p.rows[i] = prev.rows[j]
+			carried[i] = true
+			continue
+		}
+		p.release(&prev.rows[j])
+	}
+	prepared := 0
+	var sc prepScratch
+	for i := range p.rows {
+		if carried[i] {
+			continue
+		}
+		if sc.seen == nil {
+			sc = prepScratch{seen: map[string]bool{}, grams: make([][]string, len(p.names))}
+		}
+		p.prepareRow(t.Row(i), &p.rows[i], &sc)
+		prepared++
+	}
+	if len(p.names)-p.liveNames > p.liveNames || len(p.secStrs)-p.liveSecs > p.liveSecs {
+		r.Prepare(t)
+		return t.Len()
+	}
+	r.prep = p
+	return prepared
+}
+
+// carries reports whether prev's row entries and registries may seed p:
+// same configuration and the same schema positions.
+func (p *tableFeatures) carries(prev *tableFeatures) bool {
+	return prev != nil && prev.nameIDs != nil &&
+		prev.keyCol == p.keyCol && prev.nameCol == p.nameCol &&
+		prev.secCol == p.secCol && prev.numCol == p.numCol && prev.gram == p.gram &&
+		prev.ki == p.ki && prev.ni == p.ni && prev.si == p.si && prev.pi == p.pi
+}
+
+// prepScratch is one preparation pass's working memory: gram-dedup
+// scratch, and the "g:" block keys of every distinct name the pass has
+// met, by name id. The gram lists live only for the pass — rows keep
+// their own block-key slices — so carried state does not hold a second
+// copy of them.
+type prepScratch struct {
+	seen  map[string]bool
+	grams [][]string
+}
+
+// prepareRow derives one row's entry, registering the distinct values
+// it introduces: tokenization and rune conversion are computed once per
+// distinct normalized value, and the entry aliases the shared slices.
+// A name's q-gram block keys are computed once per pass: rows with equal
+// normalized names have equal tokens, so any of them yields the same
+// list.
+func (p *tableFeatures) prepareRow(row dataset.Record, rf *rowFeatures, sc *prepScratch) {
+	if p.ki >= 0 && !row[p.ki].IsNull() {
+		rf.keyOK = true
+		rf.key = text.Normalize(row[p.ki].String())
+		rf.blockKeys = append(rf.blockKeys, "k:"+rf.key)
+	}
+	if p.ni >= 0 && !row[p.ni].IsNull() {
+		rf.nameOK = true
+		toks := text.Tokenize(row[p.ni].String())
+		// Normalize is Tokenize rejoined on single spaces, so the
+		// normalized string falls out of the token pass for free.
+		norm := strings.Join(toks, " ")
+		id, ok := p.nameIDs[norm]
+		if !ok {
+			id = len(p.names)
+			p.nameIDs[norm] = id
+			p.names = append(p.names, []rune(norm))
+			p.nameToks = append(p.nameToks, text.TokenRunes(toks))
+			p.nameRefs = append(p.nameRefs, 0)
+		}
+		for len(sc.grams) <= id {
+			sc.grams = append(sc.grams, nil)
+		}
+		if sc.grams[id] == nil {
+			clear(sc.seen)
+			grams := []string{}
+			for _, tok := range toks {
+				for _, g := range text.QGrams(tok, p.gram) {
+					key := "g:" + g
+					if !sc.seen[key] {
+						sc.seen[key] = true
+						grams = append(grams, key)
+					}
+				}
+			}
+			sc.grams[id] = grams
+		}
+		if p.nameRefs[id]++; p.nameRefs[id] == 1 {
+			p.liveNames++
+		}
+		rf.nameID = id
+		rf.name = p.names[id]
+		rf.nameToks = p.nameToks[id]
+		rf.blockKeys = append(rf.blockKeys, sc.grams[id]...)
+	}
+	if p.si >= 0 && !row[p.si].IsNull() {
+		rf.secOK = true
+		norm := text.Normalize(row[p.si].String())
+		id, ok := p.secIDs[norm]
+		if !ok {
+			id = len(p.secStrs)
+			p.secIDs[norm] = id
+			p.secStrs = append(p.secStrs, norm)
+			p.secRunes = append(p.secRunes, []rune(norm))
+			p.secRefs = append(p.secRefs, 0)
+		}
+		if p.secRefs[id]++; p.secRefs[id] == 1 {
+			p.liveSecs++
+		}
+		rf.secID = id
+		rf.sec = p.secStrs[id]
+		rf.secRunes = p.secRunes[id]
+	}
+	if p.pi >= 0 && row[p.pi].IsNumeric() {
+		rf.numOK = true
+		rf.num = row[p.pi].FloatVal()
+	}
+}
+
+// release drops a row entry's references to the registries.
+func (p *tableFeatures) release(rf *rowFeatures) {
+	if rf.nameOK {
+		if p.nameRefs[rf.nameID]--; p.nameRefs[rf.nameID] == 0 {
+			p.liveNames--
+		}
+	}
+	if rf.secOK {
+		if p.secRefs[rf.secID]--; p.secRefs[rf.secID] == 0 {
+			p.liveSecs--
+		}
+	}
 }

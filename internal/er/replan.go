@@ -112,7 +112,12 @@ type PlanState struct {
 	keyCol, nameCol string
 	gram, maxBlock  int
 
-	idx        *blockIndex
+	idx *blockIndex
+	// feats is the round's prepared matcher state and featKeys the row
+	// keys its entries are numbered by: the next round adopts every clean
+	// row's entry and prepares only dirty rows.
+	feats      *tableFeatures
+	featKeys   []string
 	shardRoots []map[string]string // per shard: row key -> representative row key
 	must       [][2]string         // canonical constraint pairs, sorted
 	cannot     [][2]string
@@ -157,6 +162,8 @@ func BuildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []map[
 		gram:       r.BlockGramSize,
 		maxBlock:   r.MaxBlockSize,
 		idx:        plan.idx,
+		feats:      plan.feats,
+		featKeys:   rowKeys,
 		shardRoots: make([]map[string]string, plan.NumShards),
 		must:       canonPairs(must, rowKeys),
 		cannot:     canonPairs(cannot, rowKeys),
@@ -220,14 +227,17 @@ type RePlanned struct {
 	// AffectedRows counts the rows the delta touched (dirty rows plus
 	// rows sharing a changed block or constraint) — the dirty frontier.
 	// ReusedComponents / DirtyComponents split the plan's components.
+	// RowsPrepared counts the rows whose matcher features were derived
+	// this round (the rest were carried from the previous round).
 	AffectedRows     int
 	ReusedComponents int
 	DirtyComponents  int
+	RowsPrepared     int
 
 	rowKeys []string
-	// prevScores is the still-valid slice of the previous round's score
-	// cache: entries whose endpoints' content did not change. Read-only
-	// during the resolve fan-out.
+	// prevScores is the previous round's score cache with every entry
+	// incident to a dirty row deleted: what remains is bit-valid.
+	// Read-only during the resolve fan-out.
 	prevScores map[pairKey]float64
 	// shardScores collects the scores each shard's resolve computed fresh
 	// this round — one map per shard, single-writer, folded into the next
@@ -235,27 +245,24 @@ type RePlanned struct {
 	shardScores []map[pairKey]float64
 }
 
-// ReusedShards counts the shards whose clusters were reused whole.
-func (rp *RePlanned) ReusedShards() int {
-	n := 0
-	for _, r := range rp.Reused {
-		if r {
-			n++
-		}
-	}
-	return n
-}
-
 // RePlan incrementally re-plans after a delta. dirty holds the row keys
 // whose content changed — including keys that appeared or disappeared —
 // relative to the round prev memoizes; rowKeys are the new table's stable
-// keys (required, one per row). Only dirty rows are re-blocked; pairs,
-// components and shard routing are reassembled from the updated index
-// exactly as PlanShards would build them from scratch. A block-connected
-// component untouched by the delta — no dirty row, no changed block, no
-// changed constraint, unchanged scoring rule — keeps its owner shard and
-// its previous clusters, translated to the new numbering without scoring
-// a single pair; only dirty components' rows remain to be resolved.
+// keys (required, one per row). Only dirty rows are re-prepared and
+// re-blocked; pairs, components and shard routing are reassembled from
+// the updated index exactly as PlanShards would build them from scratch.
+// A block-connected component untouched by the delta — no dirty row, no
+// changed block, no changed constraint, unchanged scoring rule — keeps
+// its owner shard and its previous clusters, translated to the new
+// numbering without scoring a single pair; only dirty components' rows
+// remain to be resolved.
+//
+// RePlan consumes prev: its matcher features, block index and score
+// cache are patched in place into the new round's state, so prev must
+// not be passed to RePlan again, whether or not this call succeeds. A
+// caller whose round fails after RePlan must drop prev and plan the next
+// round from scratch (the core planner drops its memo on any failed
+// tail).
 //
 // When prev is nil or was built under different blocking parameters or a
 // different shard count, RePlan degrades to a fresh PlanShards with no
@@ -275,86 +282,82 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 		return freshRePlanned(plan, n, rowKeys), nil
 	}
 
-	// The incremental path re-blocks dirty rows and scores dirty pairs
-	// during the resolve fan-out; prepare the per-row feature state now,
-	// while still single-threaded (PlanShards does the same on the fresh
-	// path).
-	r.Prepare(t)
 	key := rowKeyFn(rowKeys)
 	rowIdx := rowIndexOf(t.Len(), key)
+	// The re-blocking below and the resolve fan-out read the per-row
+	// feature state; carry the clean rows' entries and prepare the dirty
+	// ones now, while still single-threaded.
+	prepared := r.prepareDelta(t, rowIdx, dirty, prev.feats, rowKeyFn(prev.featKeys))
+	prev.feats = nil
 
-	// Copy-on-write update of the block index: untouched blocks are
-	// shared with the previous state, so a failed tail cannot corrupt it.
-	blocks := maps.Clone(prev.idx.blocks)
-	rowBlocks := maps.Clone(prev.idx.rowBlocks)
-	cloned := map[string]bool{}
-	touched := map[string]bool{}
-	edit := func(bk string) map[string]bool {
-		if !cloned[bk] {
-			blocks[bk] = maps.Clone(blocks[bk])
-			cloned[bk] = true
-		}
-		if blocks[bk] == nil {
-			// First touch of a brand-new block key, or a block emptied and
-			// then re-populated within this delta.
-			blocks[bk] = map[string]bool{}
-		}
-		touched[bk] = true
-		return blocks[bk]
-	}
-	for rk := range dirty {
-		if i, ok := rowIdx[rk]; ok {
-			bks := r.blockKeysOf(t, i)
-			if sameBlockKeys(prev.idx.rowBlocks[rk], bks) {
-				// The row changed but not its blocking evidence (a price or
-				// timestamp edit): every block's membership — and therefore
-				// every pair — is untouched. The row's own component still
-				// goes dirty via the affected set below; nothing spreads.
-				continue
-			}
-			for _, bk := range prev.idx.rowBlocks[rk] {
-				m := edit(bk)
-				delete(m, rk)
-				if len(m) == 0 {
-					delete(blocks, bk)
-				}
-			}
-			rowBlocks[rk] = bks
-			for _, bk := range bks {
-				edit(bk)[rk] = true
-			}
-			continue
-		}
-		for _, bk := range prev.idx.rowBlocks[rk] {
-			m := edit(bk)
-			delete(m, rk)
-			if len(m) == 0 {
-				delete(blocks, bk)
-			}
-		}
-		delete(rowBlocks, rk)
-	}
-
-	// The dirty frontier: dirty rows, every old or new member of a touched
-	// block whose pairs could have appeared or vanished, and both ends of
-	// every constraint that changed. A touched block spreads dirt only
-	// through the rounds in which it was usable (2..MaxBlockSize members):
-	// an oversized block emits no pairs on either side of the delta, so
-	// membership churn inside it is inert — without this distinction a
-	// renamed row's stop-gram blocks would dirty most of the corpus.
-	affected := map[string]bool{}
+	// Patch the block index in place. The dirty frontier: dirty rows,
+	// every old or new member of a touched block whose pairs could have
+	// appeared or vanished, and both ends of every constraint that
+	// changed. A touched block spreads dirt only through the rounds in
+	// which it was usable (2..MaxBlockSize members): an oversized block
+	// emits no pairs on either side of the delta, so membership churn
+	// inside it is inert — without this distinction a renamed row's
+	// stop-gram blocks would dirty most of the corpus. Pre-edit
+	// membership is read at a block's first touch, so only usable blocks
+	// are ever walked.
+	idx := prev.idx
+	affected := make(map[string]bool, len(dirty))
 	for rk := range dirty {
 		affected[rk] = true
 	}
 	usable := func(sz int) bool { return sz >= 2 && sz <= r.MaxBlockSize }
-	for bk := range touched {
-		if usable(len(prev.idx.blocks[bk])) {
-			for rk := range prev.idx.blocks[bk] {
-				affected[rk] = true
+	touched := map[string]bool{}
+	edit := func(bk string) map[string]bool {
+		m := idx.blocks[bk]
+		if !touched[bk] {
+			touched[bk] = true
+			if usable(len(m)) {
+				for rk := range m {
+					affected[rk] = true
+				}
 			}
 		}
-		if usable(len(blocks[bk])) {
-			for rk := range blocks[bk] {
+		if m == nil {
+			// A brand-new block key, or a block emptied and then
+			// re-populated within this delta.
+			m = map[string]bool{}
+			idx.blocks[bk] = m
+		}
+		return m
+	}
+	leave := func(rk string) {
+		for _, bk := range idx.rowBlocks[rk] {
+			m := edit(bk)
+			delete(m, rk)
+			if len(m) == 0 {
+				delete(idx.blocks, bk)
+			}
+		}
+	}
+	for rk := range dirty {
+		i, ok := rowIdx[rk]
+		if !ok {
+			leave(rk)
+			delete(idx.rowBlocks, rk)
+			continue
+		}
+		bks := r.blockKeysOf(t, i)
+		if sameBlockKeys(idx.rowBlocks[rk], bks) {
+			// The row changed but not its blocking evidence (a price or
+			// timestamp edit): every block's membership — and therefore
+			// every pair — is untouched. The row's own component still
+			// goes dirty via the affected set; nothing spreads.
+			continue
+		}
+		leave(rk)
+		idx.rowBlocks[rk] = bks
+		for _, bk := range bks {
+			edit(bk)[rk] = true
+		}
+	}
+	for bk := range touched {
+		if m := idx.blocks[bk]; usable(len(m)) {
+			for rk := range m {
 				affected[rk] = true
 			}
 		}
@@ -370,13 +373,13 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 		affected[pk[1]] = true
 	}
 
-	idx := &blockIndex{blocks: blocks, rowBlocks: rowBlocks}
 	pairs, err := idx.pairs(rowIdx, r.MaxBlockSize)
 	if err != nil {
 		return nil, err
 	}
 	plan, comp := assemblePlan(t.Len(), n, pairs, must, key)
 	plan.idx = idx
+	plan.feats = r.prep
 
 	rp := &RePlanned{
 		Plan:         plan,
@@ -385,6 +388,7 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 		DirtyRows:    make([][]int, n),
 		DirtyPairs:   make([][]Pair, n),
 		AffectedRows: len(affected),
+		RowsPrepared: prepared,
 		rowKeys:      rowKeys,
 		prevScores:   map[pairKey]float64{},
 		shardScores:  make([]map[pairKey]float64, n),
@@ -407,11 +411,17 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 	// Carry forward every cached pair score whose endpoints' content held:
 	// the rule is unchanged and Features reads only the two rows' values,
 	// so those floats are bit-identical to recomputing. Entries incident
-	// to a dirty row are dropped — their pairs re-score fresh.
-	for k, s := range prev.scores {
-		if !dirty[k[0]] && !dirty[k[1]] {
-			rp.prevScores[k] = s
+	// to a dirty row are deleted in place — their pairs re-score fresh.
+	if prev.scores != nil {
+		if len(dirty) > 0 {
+			for k := range prev.scores {
+				if dirty[k[0]] || dirty[k[1]] {
+					delete(prev.scores, k)
+				}
+			}
 		}
+		rp.prevScores = prev.scores
+		prev.scores = nil
 	}
 
 	// A component is dirty when the delta touched any of its rows — or
@@ -486,7 +496,9 @@ func freshRePlanned(plan *ShardPlan, n int, rowKeys []string) *RePlanned {
 		Roots:           make([]map[int]int, n),
 		DirtyRows:       make([][]int, n),
 		DirtyPairs:      make([][]Pair, n),
+		AffectedRows:    len(plan.RowShard),
 		DirtyComponents: plan.Components,
+		RowsPrepared:    len(plan.RowShard),
 		rowKeys:         rowKeys,
 		prevScores:      map[pairKey]float64{},
 		shardScores:     make([]map[pairKey]float64, n),

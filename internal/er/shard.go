@@ -47,6 +47,10 @@ type ShardPlan struct {
 	// stable row key. BuildPlanState hands it to the next incremental
 	// re-plan (replan.go), which updates only the dirty rows' blocks.
 	idx *blockIndex
+	// feats is the prepared matcher state the plan was blocked with;
+	// BuildPlanState hands it on so the next re-plan prepares only dirty
+	// rows.
+	feats *tableFeatures
 }
 
 // PlanShards builds the shard plan for n shards. Candidate pairs are the
@@ -76,6 +80,7 @@ func (r *Resolver) PlanShards(t *dataset.Table, n int, must []Pair, rowKeys []st
 	}
 	plan, _ := assemblePlan(t.Len(), n, pairs, must, key)
 	plan.idx = idx
+	plan.feats = r.prep
 	return plan, nil
 }
 

@@ -635,6 +635,147 @@ func CheckStreamingRePlan(rng *rand.Rand, nRows, shards int) error {
 	return nil
 }
 
+// CheckChainedRePlan asserts the streaming equivalence across a chain of
+// reactions on one carried er.PlanState: a resolved round over a random
+// table, then rounds mutating the table (value edits, drops, appends)
+// and re-planning on the state the previous round committed — matcher
+// features, block index and score cache all carried and patched in
+// place. Every round must cluster exactly as a fresh sequential
+// ResolveConstrained over the round's table, and the carried matcher
+// features must pass checkFeatures (nil skips it), which runs right
+// after each re-plan. Round 2 renames almost every row onto a handful
+// of names, so most registered names die and the carried registries
+// must be rebuilt. Returns how many rounds rebuilt the features from
+// scratch.
+func CheckChainedRePlan(rng *rand.Rand, nRows, shards, rounds int, checkFeatures func(*er.Resolver, *dataset.Table) error) (int, error) {
+	// A small MaxBlockSize puts many blocks at the usable/oversized
+	// boundary, so edits flip blocks across it in both directions — the
+	// case where the dirty frontier must read a block's pre-edit
+	// membership.
+	maxBlock := []int{60, 6, 3}[rng.Intn(3)]
+	newResolver := func() *er.Resolver {
+		r := er.NewResolver("sku", "name", "brand", "price")
+		r.MaxBlockSize = maxBlock
+		return r
+	}
+	r := newResolver()
+	tab := RandomTable(rng, nRows)
+	keys := make([]string, tab.Len())
+	for i := range keys {
+		keys[i] = fmt.Sprintf("row-%04d", i)
+	}
+	nextKey := tab.Len()
+	must, cannot := RandomConstraints(rng, tab.Len())
+	// Round 0 is a fresh plan: RePlan with no previous state.
+	var memo *er.PlanState
+	dirty := map[string]bool{}
+	rebuilds := 0
+	for round := 0; round <= rounds; round++ {
+		rp, err := r.RePlan(tab, shards, must, cannot, keys, dirty, memo)
+		if err != nil {
+			return rebuilds, fmt.Errorf("round %d: replan: %w", round, err)
+		}
+		memo = nil // consumed
+		if round > 0 {
+			// A carried round prepares exactly its dirty rows, unless
+			// the registries were rebuilt, which prepares every row.
+			present := 0
+			for _, k := range keys {
+				if dirty[k] {
+					present++
+				}
+			}
+			switch rp.RowsPrepared {
+			case present:
+			case tab.Len():
+				rebuilds++
+			default:
+				return rebuilds, fmt.Errorf("round %d: %d rows prepared, %d of %d rows dirty", round, rp.RowsPrepared, present, tab.Len())
+			}
+		}
+		if checkFeatures != nil {
+			if err := checkFeatures(r, tab); err != nil {
+				return rebuilds, fmt.Errorf("round %d: carried features: %w", round, err)
+			}
+		}
+		roots := rp.Roots
+		for i := 0; i < shards; i++ {
+			if rp.Reused[i] {
+				continue
+			}
+			fresh, _, err := rp.ResolveDirty(r, tab, i, must, cannot)
+			if err != nil {
+				return rebuilds, fmt.Errorf("round %d: resolve shard %d: %w", round, i, err)
+			}
+			for row, root := range fresh {
+				roots[i][row] = root
+			}
+		}
+		merged, err := rp.Plan.MergeRoots(roots)
+		if err != nil {
+			return rebuilds, fmt.Errorf("round %d: merge: %w", round, err)
+		}
+		seq, _, err := newResolver().ResolveConstrained(tab, must, cannot)
+		if err != nil {
+			return rebuilds, fmt.Errorf("round %d: sequential: %w", round, err)
+		}
+		if merged.Num != seq.Num {
+			return rebuilds, fmt.Errorf("round %d: %d clusters, sequential has %d", round, merged.Num, seq.Num)
+		}
+		for i, id := range merged.Assign {
+			if id != seq.Assign[i] {
+				return rebuilds, fmt.Errorf("round %d: row %d in cluster %d, sequential says %d", round, i, id, seq.Assign[i])
+			}
+		}
+		if memo, err = rp.Commit(r, keys, roots, must, cannot); err != nil {
+			return rebuilds, fmt.Errorf("round %d: commit: %w", round, err)
+		}
+
+		// Mutate for the next round.
+		next := dataset.NewTable(tab.Schema().Clone())
+		var nextKeys []string
+		dirty = map[string]bool{}
+		massRename := round == 1
+		for i := 0; i < tab.Len(); i++ {
+			if rng.Intn(12) == 0 {
+				dirty[keys[i]] = true // dropped
+				continue
+			}
+			row := tab.Row(i).Clone()
+			switch {
+			case massRename && rng.Intn(10) != 0:
+				row[1] = dataset.String(fmt.Sprintf("Mass Renamed Gizmo %d", rng.Intn(3)))
+				dirty[keys[i]] = true
+			case rng.Intn(6) == 0:
+				row[1] = dataset.String(fmt.Sprintf("Edited Widget %d", rng.Intn(50)))
+				dirty[keys[i]] = true
+			case rng.Intn(8) == 0:
+				row[3] = dataset.Float(200 + float64(rng.Intn(40)))
+				dirty[keys[i]] = true
+			case rng.Intn(10) == 0:
+				row[2] = dataset.String(fmt.Sprintf("Brand %d", rng.Intn(8)))
+				dirty[keys[i]] = true
+			}
+			next.Append(row)
+			nextKeys = append(nextKeys, keys[i])
+		}
+		extra := RandomTable(rng, rng.Intn(8))
+		for i := 0; i < extra.Len(); i++ {
+			next.Append(extra.Row(i).Clone())
+			k := fmt.Sprintf("row-%04d", nextKey)
+			nextKey++
+			nextKeys = append(nextKeys, k)
+			dirty[k] = true
+		}
+		if next.Len() == 0 {
+			return rebuilds, nil
+		}
+		tab, keys = next, nextKeys
+		must, cannot = RandomConstraints(rng, tab.Len())
+	}
+	return rebuilds, nil
+}
+
 // CheckShardedResolve asserts the core equivalence at the er layer:
 // planning the table into shards, resolving every shard independently
 // and merging roots yields exactly the clustering one sequential
