@@ -284,9 +284,9 @@ func BenchmarkShardedIntegration(b *testing.B) {
 
 // BenchmarkDeltaPublish contrasts the two publication strategies over a
 // wide wrangled table: "full-copy" deep-copies every record into the
-// next version (the sequential tail's publish), "delta" re-clones only
+// next version (a publish without shard pages), "delta" re-clones only
 // one of eight shard pages and pointer-shares the other seven with the
-// predecessor (the sharded tail's publish after a one-shard reaction).
+// predecessor (the tail's publish after a one-shard reaction).
 // Time and allocations per published version are the headline numbers —
 // delta publication is O(changed shard), not O(table).
 func BenchmarkDeltaPublish(b *testing.B) {
@@ -385,7 +385,11 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 // stage buffers attack the ~4k allocs/row the PR-4/PR-5 baselines
 // carried. Allocations per op are the headline number; `make bench`
 // records this table and BenchmarkStreamingRefresh to BENCH_PR9.json,
-// and `make bench-gate` fails the build if either regresses.
+// and `make bench-gate` fails the build if either regresses. The
+// "sequential" row is a default session (shards 0, which means one
+// shard); it keeps the name of the gated baseline row it is compared
+// against, recorded when a zero shard count selected a separate
+// sequential tail.
 func BenchmarkFullTail(b *testing.B) {
 	for _, shards := range []int{0, 1, 4, 8} {
 		name := fmt.Sprintf("shards=%d", shards)

@@ -37,8 +37,8 @@ func main() {
 	ctxName := flag.String("context", "balanced", "user context: balanced, routine or investigation")
 	maxSources := flag.Int("max-sources", 0, "source budget (0 = unlimited)")
 	parallelism := flag.Int("parallelism", 0, "per-source worker bound (0 = one per CPU, 1 = sequential)")
-	shards := flag.Int("shards", 0, "integration-tail shards (0 = sequential tail; output is identical at any count)")
-	streaming := flag.Bool("streaming", false, "streaming refresh: reactions recompute only dirty shards (requires -shards; output is identical)")
+	shards := flag.Int("shards", 1, "integration-tail shards (output is identical at any count)")
+	streaming := flag.Bool("streaming", false, "streaming refresh: reactions recompute only what their delta touched (output is identical)")
 	csvOut := flag.String("csv", "", "write wrangled table as CSV to this file")
 	serveMode := flag.Bool("serve", false, "after the run, serve snapshot versions over HTTP while refreshing in the background")
 	listen := flag.String("listen", "127.0.0.1:8080", "listen address for -serve")
@@ -56,16 +56,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrangle: parallelism must be >= 1, or 0 for one worker per CPU (got %d)\n", *parallelism)
 		os.Exit(2)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "wrangle: shards must be >= 1, or 0 for a sequential integration tail (got %d)\n", *shards)
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "wrangle: shards must be >= 1 (got %d)\n", *shards)
 		os.Exit(2)
 	}
 	if *retain < 0 {
 		fmt.Fprintf(os.Stderr, "wrangle: retain must be >= 1, or 0 for the default window (got %d)\n", *retain)
-		os.Exit(2)
-	}
-	if *streaming && *shards < 1 {
-		fmt.Fprintln(os.Stderr, "wrangle: -streaming requires -shards >= 1 (the dirty set is tracked per shard)")
 		os.Exit(2)
 	}
 	if *fsyncAlways && *stateDir == "" {
@@ -114,14 +110,12 @@ func main() {
 		// trades wall-clock for cores.
 		opts = append(opts, wrangle.WithParallelism(*parallelism))
 	}
-	if *shards >= 1 {
-		// Likewise byte-identical at any shard count: sharding fans the
-		// select → integrate → fuse tail out and turns publications into
-		// per-shard deltas.
-		opts = append(opts, wrangle.WithIntegrationShards(*shards))
-	}
+	// Likewise byte-identical at any shard count: sharding fans the
+	// resolve → fuse tail out and bounds each publication's delta per
+	// shard.
+	opts = append(opts, wrangle.WithIntegrationShards(*shards))
 	if *streaming {
-		// Reactions recompute only the shards their delta touched; -serve
+		// Reactions recompute only what their delta touched; -serve
 		// refresh ticks report the split on each published version.
 		opts = append(opts, wrangle.WithStreamingRefresh())
 	}

@@ -298,7 +298,7 @@ func (st *serveState) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // header plus the delta — only the changed records' rows are inlined
 // (shared pages are elided entirely), so frame size scales with what the
 // reaction touched, not with the table. A full frame (first publication,
-// sequential sessions) carries every row.
+// or a version that emptied the table) carries every row.
 type watchFrame struct {
 	Version       uint64         `json:"version"`
 	Step          uint64         `json:"step"`
@@ -322,8 +322,9 @@ type watchFrame struct {
 // comments as heartbeats, and a final "evicted" event if the client
 // cannot keep up. ?from=N resumes after the last version the client saw;
 // a resume point already compacted out of the retention window is 410
-// Gone — re-bootstrap from /table. Without ?from the stream opens with
-// the current version as its first frame.
+// Gone — re-bootstrap from /table — and a resume point ahead of the
+// latest version opens a stream that waits for version from+1. Without
+// ?from the stream opens with the current version as its first frame.
 func (st *serveState) handleWatch(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

@@ -15,21 +15,23 @@
 // worker pool: per-source extraction chains fan out in parallel
 // (WithParallelism / WithSequential) and merge deterministically, so a
 // parallel run is byte-identical to a sequential one. The integration
-// tail — entity resolution and fusion over the global union — shards by
-// blocking key too (WithIntegrationShards): block-connected components
-// route whole to deterministic owner shards, resolve and fuse as engine
-// tasks, and merge back byte-identically to the sequential tail at any
-// shard count, a property pinned by the internal/wrangletest
-// determinism harness and its fuzz target. Each successful run and
+// tail — entity resolution and fusion over the global union — is one
+// engine DAG sharded by blocking key (WithIntegrationShards, default
+// one shard): block-connected components route whole to deterministic
+// owner shards, resolve and fuse as engine tasks, and merge back
+// byte-identically at any shard count to a whole-union resolve-and-fuse
+// recompute, a property pinned by the internal/wrangletest determinism
+// harness (whose reference recompute lives only in test code) and its
+// fuzz target. Each successful run and
 // reaction then commits an immutable copy-on-write snapshot version
 // into internal/serve; Session.View pins the latest version with one
 // atomic load, so heavy read traffic is served lock-free and untorn
 // while feedback and refresh reactions churn in the background
 // (WithRetainVersions bounds the history, cmd/wrangle -serve exposes it
-// over HTTP). Sharded sessions publish versions as deltas: a reaction
-// that leaves a shard's fused rows unchanged shares that shard's
-// records with the predecessor version, making publication O(changed
-// shard). On top of the shards, WithStreamingRefresh turns reactions
+// over HTTP). Versions are published as deltas: a reaction that leaves
+// a shard's fused rows unchanged shares that shard's records with the
+// predecessor version, making publication O(changed shard). On top of
+// the shards, WithStreamingRefresh turns reactions
 // into partial tails: the session memoizes its last integrated tail
 // and the reaction planner (internal/core) diffs the rebuilt union
 // against it — provenance-scoped — re-resolving only dirty components

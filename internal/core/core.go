@@ -118,10 +118,10 @@ type RunStats struct {
 	// engine's per-task timings: "sources" sums every per-source
 	// extract/match/map chain (parallel work — the stage total can exceed
 	// Duration when chains overlap), "select" covers the merge barrier plus
-	// selection, "integrate" the resolve/fuse tail. Sharded tails
-	// additionally split "integrate" by DAG stage — "replan", "resolve",
-	// "trust", "fuse", "merge". Published snapshot versions carry these,
-	// so a bench regression attributes to a stage.
+	// selection, "integrate" the resolve/fuse tail, split further by DAG
+	// stage — "replan", "resolve", "trust", "fuse", "merge". Published
+	// snapshot versions carry these, so a bench regression attributes to
+	// a stage.
 	Stages map[string]time.Duration
 	// TrustComponents / TrustRecomputed report the component shape of the
 	// tail's TruthFinder fixpoint: how many trust-coupled connected
@@ -157,19 +157,18 @@ type Wrangler struct {
 	// IntegrationShards splits the integration tail (entity resolution +
 	// fusion) into this many disjoint blocking shards that resolve and
 	// fuse as parallel engine tasks and merge deterministically: the
-	// output is byte-identical to the sequential tail at every shard
-	// count. 0 (the default) keeps the tail sequential. Sharded tails
-	// additionally publish snapshot deltas — versions share the table
-	// records of every shard whose fused rows did not change.
+	// output is byte-identical at every shard count. The zero value means
+	// one shard. Versions are published as snapshot deltas — they share
+	// the table records of every shard whose fused rows did not change.
 	IntegrationShards int
-	// StreamingRefresh (sharded sessions only) makes reactions recompute
-	// a partial integration tail: the reaction planner diffs the new
-	// union against the memoized previous one, re-plans incrementally
-	// (er.RePlan), re-resolves only dirty shards, warm-starts the trust
-	// fixpoint and re-fuses only shards whose claims or trust moved —
-	// reusing every untouched shard's clusters and fused page by
-	// reference. Output stays byte-identical to the full-tail recompute;
-	// only the cost scales with the change instead of the corpus.
+	// StreamingRefresh makes reactions recompute a partial integration
+	// tail: the reaction planner diffs the new union against the
+	// memoized previous one, re-plans incrementally (er.RePlan),
+	// re-resolves only dirty components, warm-starts the trust fixpoint
+	// and re-fuses only shards whose claims or trust moved — reusing
+	// every untouched shard's clusters and fused page by reference.
+	// Output stays byte-identical to the full-tail recompute; only the
+	// cost scales with the change instead of the corpus.
 	StreamingRefresh bool
 
 	states       map[string]*sourceState
@@ -184,8 +183,8 @@ type Wrangler struct {
 	supporters   map[string][]string // lazy (entity,attr) → supporting sources
 	wrangled     *dataset.Table
 	trust        map[string]float64
-	pages        []*shardPage   // sharded tail only: per-shard fused output, immutable once built
-	entityShard  map[string]int // sharded tail only: entity -> owning shard of the last integration
+	pages        []*shardPage   // per-shard fused output, immutable once built
+	entityShard  map[string]int // entity -> owning shard of the last integration
 	rowEntities  []string       // per wrangled-table row: its entity id (rows are entity-sorted)
 	lastChange   serve.ChangeSet // what the last tail changed vs its predecessor; published with the version
 	repairedRows []int          // union rows FD repair touched in the last buildUnion
@@ -290,13 +289,12 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 
 // stageTimings folds the engine's per-task wall clock into per-stage
 // attribution: every "source[...]" task accrues to "sources", and the
-// sharded integration tail's tasks are split by DAG stage — "replan"
-// (union build + shard planning or incremental re-plan), "resolve",
-// "trust" (cluster barrier + trust estimation), "fuse" and "merge" — so
+// integration tail's tasks are split by DAG stage — "replan" (union
+// build + shard planning or incremental re-plan), "resolve", "trust"
+// (cluster barrier + trust estimation), "fuse" and "merge" — so
 // published versions attribute exactly where a streaming reaction saved
 // its time. Every tail task additionally accrues to the aggregate
-// "integrate" key (which the sequential tail's single task reports
-// directly), so stage totals stay comparable across tail modes.
+// "integrate" key.
 func stageTimings(tasks map[string]time.Duration) map[string]time.Duration {
 	stages := make(map[string]time.Duration, 8)
 	for id, d := range tasks {
@@ -310,16 +308,13 @@ func stageTimings(tasks map[string]time.Duration) map[string]time.Duration {
 }
 
 // stageOf maps an engine task ID to its pipeline stage name, and reports
-// whether the task belongs to the sharded integration tail (and so also
-// accrues to the aggregate "integrate" key). It is the single source of
-// stage attribution, shared by stageTimings and the per-task telemetry
-// spans.
+// whether the task belongs to the integration tail (and so also accrues
+// to the aggregate "integrate" key). It is the single source of stage
+// attribution, shared by stageTimings and the per-task telemetry spans.
 func stageOf(id string) (stage string, tail bool) {
 	switch {
 	case strings.HasPrefix(id, "source["):
 		return "sources", false
-	case id == "integrate":
-		return "integrate", false
 	case id == "integrate:plan":
 		return "replan", true
 	case id == "integrate:cluster":
@@ -337,6 +332,11 @@ func stageOf(id string) (stage string, tail bool) {
 
 // workers resolves the wrangler's configured parallelism degree.
 func (w *Wrangler) workers() int { return engine.Workers(w.Parallelism) }
+
+// shards resolves the integration shard count: IntegrationShards, with
+// the zero value (and anything below one) meaning a single shard. It is
+// the one place the field is read.
+func (w *Wrangler) shards() int { return max(w.IntegrationShards, 1) }
 
 // provPut is a deferred provenance registration. Outcomes carry their puts
 // instead of writing to the graph directly, so the merge step can replay
@@ -642,31 +642,11 @@ func relevanceScore(votes, coverage float64) float64 {
 
 func isNaN(f float64) bool { return f != f }
 
-// integrate unions selected mapped tables, resolves entities and fuses
-// values into the wrangled table — the sequential integration tail.
-// Sessions configured with IntegrationShards > 0 run the sharded twin
-// (shard.go) instead; the two are byte-identical by construction and by
-// the wrangletest determinism harness.
-func (w *Wrangler) integrate() error {
-	empty, err := w.buildUnion()
-	if err != nil || empty {
-		return err
-	}
-	must, cannot := w.pairConstraints()
-	clusters, _, err := w.resolver.ResolveConstrained(w.union, must, cannot)
-	if err != nil {
-		return fmt.Errorf("core: resolve: %w", err)
-	}
-	w.clusters = clusters
-	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.selectedIDs()), "")
-	return w.fuse()
-}
-
 // buildUnion assembles the union table from the selected mapped tables,
 // repairs profiled FD violations, and prepares the resolver (including
-// Corleone-style refinement from pair feedback). It is the shared head of
-// both integration tails. empty reports that there was nothing to
-// integrate — the working data has already been reset to an empty result.
+// Corleone-style refinement from pair feedback). It is the head of the
+// integration tail. empty reports that there was nothing to integrate —
+// the working data has already been reset to an empty result.
 func (w *Wrangler) buildUnion() (empty bool, err error) {
 	w.union = dataset.NewTable(w.Config.Target.Clone())
 	w.unionSources = w.unionSources[:0]
@@ -796,37 +776,6 @@ func (w *Wrangler) RowKey(i int) string {
 	return w.rowKeys()[i]
 }
 
-// fuse builds claims from the union rows grouped by cluster and fuses them
-// under the context-appropriate policy. The TruthFinder fixpoint inside
-// fans its trust-coupled components out over the session's workers —
-// byte-identical to a sequential fuse at any parallelism.
-func (w *Wrangler) fuse() error {
-	w.entityIDs = w.entityNames()
-	claims := w.buildClaims()
-	var opts fusion.Options
-	w.results, opts, w.lastTrust = fusion.FuseParallel(claims, w.fusionOptions(), w.workers())
-	w.supporters = nil // new results: the supporters index is stale
-	w.trust = opts.Trust
-	w.pages = nil // sequential tail: no shard pages to share
-	w.entityShard = nil
-
-	// Materialise the wrangled table: one row per entity.
-	entities, rows := materialize(w.results, w.Config.Target)
-	out := dataset.NewTable(w.Config.Target.Clone())
-	for _, r := range rows {
-		out.Append(r)
-	}
-	w.wrangled = out
-	w.rowEntities = entities
-	// The sequential tail has no page bookkeeping to bound its delta:
-	// every publication is "everything changed" to a watcher.
-	w.lastChange = serve.ChangeSet{Full: true}
-	w.LastStats.RowsWrangled = out.Len()
-	w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},
-		"fusion.Fuse", []provenance.Ref{{Kind: provenance.KindCluster, ID: "union"}}, opts.Policy.String())
-	return nil
-}
-
 // buildClaims flattens the union into one claim per (row, attribute),
 // in row order — the order fusion's bucket representatives and float
 // accumulation depend on. The freshness column feeds each claim's AsOf
@@ -865,10 +814,8 @@ func (w *Wrangler) buildClaims() []fusion.Claim {
 }
 
 // materialize turns fused results into one record per entity, entities
-// sorted ascending — the row order of the wrangled table. It is shared
-// by the sequential tail (over all results) and the sharded tail (per
-// shard page), which is what makes the merged sharded table equal the
-// sequential one row for row.
+// sorted ascending — the row order of a shard page, and (pages holding
+// disjoint entities) of the merged wrangled table.
 func materialize(results []fusion.Result, target dataset.Schema) (entities []string, rows []dataset.Record) {
 	byEntity := map[string]map[string]dataset.Value{}
 	var order []string
@@ -1030,7 +977,8 @@ func (w *Wrangler) ClaimSupporters(entity, attribute string) []string {
 // buildSupporters walks the union once, grouping rows by entity, and
 // resolves each fused result's supporting sources in a single pass —
 // O(union rows × attributes + results) instead of a full union scan per
-// report line. fuse invalidates the index (w.supporters = nil).
+// report line. The tail's merge invalidates the index (w.supporters =
+// nil).
 func (w *Wrangler) buildSupporters() {
 	w.supporters = map[string][]string{}
 	if w.union == nil {
@@ -1075,13 +1023,4 @@ func absFloat(v dataset.Value) float64 {
 		return -f
 	}
 	return f
-}
-
-// SourceUtility returns the context utility assigned to a source in the
-// last selection (0 for unknown sources).
-func (w *Wrangler) SourceUtility(id string) float64 {
-	if st, ok := w.states[id]; ok {
-		return st.utility
-	}
-	return 0
 }

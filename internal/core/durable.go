@@ -130,7 +130,8 @@ type loggedVersion struct {
 	react   ReactStats
 
 	// Output payload: mode 1 references shard pages in shard order; mode 0
-	// (sequential or empty tails) carries table, results and entities inline.
+	// (empty tails, and every version of a log written by a session whose
+	// tail built no pages) carries table, results and entities inline.
 	pages    []uint64
 	table    *dataset.Table
 	results  []fusion.Result
@@ -153,34 +154,44 @@ type loggedVersion struct {
 // pages and versions (schema width) and the restore semantics (shards,
 // streaming, retention) all hang off it.
 func encodeConfigPayload(w *Wrangler, retain int) []byte {
+	return encodeConfig(w.Config, w.shards(), w.StreamingRefresh, retain)
+}
+
+func encodeConfig(cfg Config, shards int, streaming bool, retain int) []byte {
 	var e wal.Encoder
-	e.Schema(w.Config.Target)
-	e.String(w.Config.KeyColumn)
-	e.String(w.Config.NameColumn)
-	e.String(w.Config.SecondaryColumn)
-	e.String(w.Config.NumericColumn)
-	e.String(w.Config.TimeColumn)
-	e.Varint(int64(w.IntegrationShards))
-	e.Bool(w.StreamingRefresh)
+	e.Schema(cfg.Target)
+	e.String(cfg.KeyColumn)
+	e.String(cfg.NameColumn)
+	e.String(cfg.SecondaryColumn)
+	e.String(cfg.NumericColumn)
+	e.String(cfg.TimeColumn)
+	e.Varint(int64(shards))
+	e.Bool(streaming)
 	e.Varint(int64(retain))
 	return e.Bytes()
 }
 
-// decodeConfigSchema extracts the target schema from a config payload,
-// validating the full record.
-func decodeConfigSchema(payload []byte) (dataset.Schema, error) {
+// decodeConfig validates a config payload and returns its target schema
+// and its canonical form: the payload re-encoded with the shard count
+// floored at one. A log written by a default session before the
+// one-shard floor records 0 shards; attach compares canonical forms, so
+// that log still attaches to a default session.
+func decodeConfig(payload []byte) (dataset.Schema, []byte, error) {
 	d := wal.NewDecoder(payload)
-	schema := d.Schema()
-	for i := 0; i < 5; i++ {
-		_ = d.String()
-	}
-	d.Int()
-	d.Bool()
-	d.Int()
+	var cfg Config
+	cfg.Target = d.Schema()
+	cfg.KeyColumn = d.String()
+	cfg.NameColumn = d.String()
+	cfg.SecondaryColumn = d.String()
+	cfg.NumericColumn = d.String()
+	cfg.TimeColumn = d.String()
+	shards := d.Int()
+	streaming := d.Bool()
+	retain := d.Int()
 	if err := d.Done(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return schema, nil
+	return cfg.Target, encodeConfig(cfg, max(shards, 1), streaming, retain), nil
 }
 
 // encodeSourcePayload writes one source's committed working state; a nil
@@ -515,8 +526,8 @@ func decodeChangeSet(d *wal.Decoder) serve.ChangeSet {
 }
 
 // encodeVersionPayload writes one published version: its store metadata,
-// the full Published payload (pages by reference when the sharded tail
-// built them, inline otherwise), and the working tail a restart needs to
+// the full Published payload (pages by reference, inline when an empty
+// union left no pages), and the working tail a restart needs to
 // resume incrementally — clusters, feedback watermark, dirty-source scope
 // and the fusion signature of the memoized tail.
 func encodeVersionPayload(w *Wrangler, v *PublishedVersion, pids []uint64) []byte {
@@ -791,11 +802,10 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 			if haveConfig {
 				return fail(rec, fmt.Errorf("duplicate config record"))
 			}
-			schema, err = decodeConfigSchema(rec.Payload)
+			schema, d.configPayload, err = decodeConfig(rec.Payload)
 			if err != nil {
 				return fail(rec, err)
 			}
-			d.configPayload = append([]byte(nil), rec.Payload...)
 			d.schema = schema
 			haveConfig = true
 		case wal.KindSource:
@@ -1024,10 +1034,11 @@ func (d *DurableLog) rebuildPublished(lv *loggedVersion) (Published, error) {
 	return pub, nil
 }
 
-// mergePages assembles a wrangled table from shard pages exactly as the
-// live merge does: entities are disjoint across pages, so sorting the
-// concatenation by entity reproduces the canonical row order, and the
-// table rows alias the page records (publication's pointer-sharing).
+// mergePages assembles the wrangled table from shard pages — the live
+// merge and the restore path share it: entities are disjoint across
+// pages, so sorting the concatenation by entity gives the canonical row
+// order regardless of shard count or finish order, and the table rows
+// alias the page records (publication's pointer-sharing).
 func mergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []string) {
 	type entityRow struct {
 		entity string
@@ -1079,17 +1090,17 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 		return nil
 	}
 
+	var pages []*shardPage
 	if lv.pages == nil {
-		if lv.table == nil {
-			return fmt.Errorf("core: version %d has no output payload", lv.seq)
+		// An inline payload: a version a log written without shard pages
+		// committed. Its table is adopted as the one page of a
+		// single-shard integration.
+		if lv.table == nil || len(lv.entities) != lv.table.Len() {
+			return fmt.Errorf("core: version %d has no coherent output payload", lv.seq)
 		}
-		w.wrangled = lv.table.Clone()
-		w.results = lv.results
-		w.rowEntities = append([]string(nil), lv.entities...)
-		w.pages = nil
-		w.entityShard = nil
+		pages = []*shardPage{{entities: lv.entities, rows: lv.table.Rows(), results: lv.results}}
 	} else {
-		pages := make([]*shardPage, len(lv.pages))
+		pages = make([]*shardPage, len(lv.pages))
 		for i, pid := range lv.pages {
 			p, ok := d.pagesByID[pid]
 			if !ok {
@@ -1097,23 +1108,23 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 			}
 			pages[i] = p
 		}
-		w.pages = pages
-		entityShard := map[string]int{}
-		for i, p := range pages {
-			for _, e := range p.entities {
-				if _, ok := entityShard[e]; !ok {
-					entityShard[e] = i
-				}
+	}
+	w.pages = pages
+	entityShard := map[string]int{}
+	for i, p := range pages {
+		for _, e := range p.entities {
+			if _, ok := entityShard[e]; !ok {
+				entityShard[e] = i
 			}
 		}
-		w.entityShard = entityShard
-		parts := make([][]fusion.Result, len(pages))
-		for i, p := range pages {
-			parts[i] = p.results
-		}
-		w.results = fusion.MergeResults(parts...)
-		w.wrangled, w.rowEntities = mergePages(pages, d.schema)
 	}
+	w.entityShard = entityShard
+	parts := make([][]fusion.Result, len(pages))
+	for i, p := range pages {
+		parts[i] = p.results
+	}
+	w.results = fusion.MergeResults(parts...)
+	w.wrangled, w.rowEntities = mergePages(pages, d.schema)
 	w.supporters = nil
 	if w.clusters == nil || len(w.clusters.Assign) != w.union.Len() {
 		return fmt.Errorf("core: version %d clusters do not cover the restored union (%d rows)", lv.seq, w.union.Len())
@@ -1122,13 +1133,13 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 	w.LastStats.RowsWrangled = lv.stats.RowsWrangled
 
 	// Rebuild the streaming memo only when the persisted tail is coherent:
-	// the memo was valid at publish, the session still shards + streams,
-	// and no source state diverged from the memoized union afterwards
+	// the memo was valid at publish, the session still streams, and no
+	// source state diverged from the memoized union afterwards
 	// (non-empty dirty means an aborted reaction installed sources between
 	// publishes — the rebuilt union would not be the memo's union). A
 	// failed rebuild degrades to a full first tail, never an error: outputs
 	// stay byte-identical either way.
-	if lv.memoValid && w.StreamingRefresh && w.IntegrationShards > 0 && len(w.pages) > 0 && len(lv.dirty) == 0 {
+	if lv.memoValid && w.StreamingRefresh && len(lv.dirty) == 0 {
 		w.rebuildMemo(lv)
 	}
 	return nil
@@ -1146,7 +1157,7 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
 	must, cannot := w.pairConstraints()
 	rowKeys := w.rowKeys()
-	plan, err := w.resolver.PlanShards(w.union, w.IntegrationShards, must, rowKeys)
+	plan, err := w.resolver.PlanShards(w.union, w.shards(), must, rowKeys)
 	if err != nil || plan.NumShards != len(w.pages) {
 		return
 	}
@@ -1169,14 +1180,10 @@ func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
 	if err != nil {
 		return
 	}
-	claims := w.buildClaims()
-	parts := make([][]fusion.Claim, len(w.pages))
-	for _, c := range claims {
-		s, ok := w.entityShard[c.Entity]
-		if !ok || s < 0 || s >= len(parts) {
-			return
-		}
-		parts[s] = append(parts[s], c)
+	groups := fusion.GroupClaims(w.buildClaims())
+	shardKeys, _, ok := partitionGroups(groups, w.entityShard, len(w.pages))
+	if !ok {
+		return
 	}
 	rowIdx := make(map[string]int, len(rowKeys))
 	for i, k := range rowKeys {
@@ -1187,16 +1194,17 @@ func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
 		repaired[rowKeys[row]] = true
 	}
 	w.memo = &tailMemo{
-		union:    w.union,
-		rowKeys:  rowKeys,
-		rowIdx:   rowIdx,
-		repaired: repaired,
-		plan:     ps,
-		claims:   parts,
-		pages:    w.pages,
-		trust:    nil,
-		trustMap: maps.Clone(lv.trust),
-		fuse:     lv.fuse,
+		union:     w.union,
+		rowKeys:   rowKeys,
+		rowIdx:    rowIdx,
+		repaired:  repaired,
+		plan:      ps,
+		groups:    groups,
+		shardKeys: shardKeys,
+		pages:     w.pages,
+		trust:     nil,
+		trustMap:  maps.Clone(lv.trust),
+		fuse:      lv.fuse,
 	}
 }
 

@@ -29,12 +29,12 @@ type ReactStats struct {
 	Remapped           int
 	Reclustered        bool
 	Refused            bool
-	// ShardsResolved and ShardsReused report the dirty-shard split of a
-	// sharded integration tail: how many shards re-resolved their
-	// clusters versus reused them by reference. A streaming refresh that
-	// touched one source typically resolves one shard and reuses the
-	// rest; non-streaming sharded tails resolve all of them; sequential
-	// sessions report zeros.
+	// ShardsResolved and ShardsReused report the dirty-shard split of the
+	// integration tail: how many shards re-resolved their clusters versus
+	// reused them by reference. A streaming refresh that touched one
+	// source typically resolves one shard and reuses the rest;
+	// non-streaming tails resolve all of them; a fuse-only tail reuses
+	// all of them.
 	ShardsResolved int
 	ShardsReused   int
 	// AffectedRows, DirtyComponents, ReusedComponents and RowsPrepared
@@ -62,10 +62,9 @@ type ReactStats struct {
 	Duration        time.Duration
 	// Stages attributes the reaction's wall clock: "reextract" covers the
 	// per-source re-extraction fan-out and "integrate" the whole
-	// integration tail ("fuse" when only a sequential fusion reran).
-	// Sharded tails additionally split the tail by DAG stage — "replan"
-	// (union build + shard planning or incremental re-plan), "resolve",
-	// "trust" (cluster barrier + trust estimation), "fuse", "merge" — so
+	// integration tail, split further by DAG stage — "replan" (union
+	// build + shard planning or incremental re-plan), "resolve", "trust"
+	// (cluster barrier + trust estimation), "fuse", "merge" — so
 	// published versions attribute exactly where a streaming reaction
 	// saved its time. Absent stages did not run.
 	Stages map[string]time.Duration
@@ -171,12 +170,6 @@ func (w *Wrangler) ReactToFeedbackContext(ctx context.Context) (ReactStats, erro
 // recomputation scope.
 func (w *Wrangler) RefreshSource(id string) (ReactStats, error) {
 	return w.RefreshSourcesContext(context.Background(), []string{id})
-}
-
-// RefreshSourceContext is RefreshSource with cooperative cancellation
-// between the re-extraction and the integration tail.
-func (w *Wrangler) RefreshSourceContext(ctx context.Context, id string) (ReactStats, error) {
-	return w.RefreshSourcesContext(ctx, []string{id})
 }
 
 // computeSources re-processes the named sources through the engine:

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/dataset"
@@ -16,16 +17,13 @@ import (
 // This file is the reaction planner: the one place that decides, for any
 // incremental reaction (feedback assimilation or source churn), how much
 // of the integration tail must recompute — and executes exactly that.
-// It replaces the three ad-hoc reaction tails the feedback and refresh
-// paths used to carry (inline re-integrate, inline re-fuse, and the
-// sharded twins of both) with a single executor, and adds the streaming
-// mode: on sharded sessions with StreamingRefresh, a full-scope tail
+// The feedback and refresh paths share this one executor. It adds the
+// streaming mode: on sessions with StreamingRefresh, a full-scope tail
 // diffs the rebuilt union against the memoized previous one (scoped by
 // provenance.Graph.AffectedIDs plus the FD-repair row sets), re-plans
 // incrementally and recomputes only the dirty shards. The contract is
-// strict and inherited from the sharded tail: every mode is
-// byte-identical to the sequential full recompute, pinned by the
-// internal/wrangletest harness.
+// strict: every mode is byte-identical to a from-scratch union → resolve
+// → fuse recompute, pinned by the internal/wrangletest harness.
 
 // tailScope is how much of the integration tail a reaction needs.
 type tailScope int
@@ -44,16 +42,17 @@ const (
 // coherent integration; any tail that fails mid-flight drops the memo
 // (the next reaction falls back to a full tail and re-records it).
 type tailMemo struct {
-	union    *dataset.Table // the previous post-repair union (frozen: rebuilt, never mutated)
-	rowKeys  []string
-	rowIdx   map[string]int  // row key -> previous union row
-	repaired map[string]bool // row keys FD repair touched building that union
-	plan     *er.PlanState
-	claims   [][]fusion.Claim // per shard, as fused
-	pages    []*shardPage
-	trust    *fusion.TrustMemo
-	trustMap map[string]float64 // the trust the pages were fused under
-	fuse     fuseSig
+	union     *dataset.Table // the previous post-repair union (frozen: rebuilt, never mutated)
+	rowKeys   []string
+	rowIdx    map[string]int  // row key -> previous union row
+	repaired  map[string]bool // row keys FD repair touched building that union
+	plan      *er.PlanState
+	groups    fusion.Groups // the claims the pages were fused from
+	shardKeys [][]string    // per shard: its group keys, as fused
+	pages     []*shardPage
+	trust     *fusion.TrustMemo
+	trustMap  map[string]float64 // the trust the pages were fused under
+	fuse      fuseSig
 }
 
 // fuseSig is the slice of fusion.Options a fused page depends on beyond
@@ -112,59 +111,34 @@ func planReaction(items []feedback.Item) (reextract map[string]bool, reselect bo
 	return reextract, reselect, scope, tail
 }
 
-// runTail executes the integration tail at the given scope and fills the
-// reaction stats: per-DAG-stage timings and, on sharded sessions, the
-// dirty-shard counts. Sequential sessions run the inline tails
-// unchanged. Sharded sessions run an engine graph; with streaming
-// enabled and a valid memo, the full-scope graph is the partial tail
-// (diff → re-plan → resolve[dirty] → trust barrier → fuse[dirty] →
-// merge) and the fuse-only graph warm-starts trust and reuses every page
-// whose inputs held still.
+// runTail executes the integration tail at the given scope as an engine
+// graph and fills the reaction stats: per-DAG-stage timings and the
+// dirty-shard counts. With streaming enabled and a valid memo, the
+// full-scope graph is the partial tail (diff → re-plan → resolve[dirty]
+// → trust barrier → fuse[dirty] → merge); the fuse-only graph re-fuses
+// over the stored clustering, warm-starting trust and reusing every page
+// whose inputs held still on streaming sessions.
 func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactStats) error {
 	start := time.Now()
 	if stats.Stages == nil {
 		stats.Stages = map[string]time.Duration{}
 	}
-	// Every tail path below funnels its trust estimation through
-	// w.lastTrust (the fuse barrier / sequential fuse both write it);
-	// reset first so a tail that never estimates trust — empty union,
-	// non-TruthFinder policy — reports zero components, then snapshot
-	// whatever the tail recorded on the way out.
+	// Every tail funnels its trust estimation through w.lastTrust (the
+	// cluster barrier writes it); reset first so a tail that never
+	// estimates trust — empty union, non-TruthFinder policy — reports
+	// zero components, then snapshot whatever the tail recorded on the
+	// way out.
 	w.lastTrust = fusion.TrustStats{}
 	defer func() {
 		stats.TrustComponents = w.lastTrust.Components
 		stats.TrustRecomputed = w.lastTrust.Recomputed
 	}()
-	if w.IntegrationShards <= 0 {
-		if scope == tailFuseOnly {
-			if err := w.fuse(); err != nil {
-				return err
-			}
-			stats.Stages["fuse"] = time.Since(start)
-			return nil
-		}
-		if err := w.integrate(); err != nil {
-			return err
-		}
-		stats.Stages["integrate"] = time.Since(start)
-		return nil
-	}
-
 	g := engine.NewGraph()
 	sr := &shardRun{}
 	var err error
-	switch {
-	case scope == tailFuseOnly && len(w.entityShard) > 0 && len(w.pages) > 0:
+	if scope == tailFuseOnly {
 		err = w.addFuseOnlyTasks(g, sr)
-	case scope == tailFuseOnly:
-		// No sharded integration to reuse (e.g. the last union was
-		// empty): fall back to the sequential fuse, exactly as before.
-		if err := w.fuse(); err != nil {
-			return err
-		}
-		stats.Stages["fuse"] = time.Since(start)
-		return nil
-	default:
+	} else {
 		sr.stream = w.StreamingRefresh && w.memo != nil
 		err = w.addIntegrationTasks(g, sr)
 	}
@@ -195,26 +169,22 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 // addFuseOnlyTasks wires the trust+fuse+merge tail over the stored
 // clustering — the value-feedback reaction. The union and clusters are
 // untouched; entity names are recomputed (a pure function of both), the
-// claims re-partition along the stored entity→shard routing, trust is
-// re-estimated (warm on streaming sessions) and every shard re-fuses —
-// or, with streaming, adopts its previous page when its claims and trust
-// held still.
+// claims are grouped and routed along the stored entity→shard routing,
+// trust is re-estimated (warm on streaming sessions) and every shard
+// re-fuses — or, with streaming, adopts its previous page when its
+// claims and trust held still. Without pages the last integration found
+// an empty union and already reset the outputs: there is nothing to
+// re-fuse, and every stage no-ops.
 func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
-	n := len(w.pages)
 	sr.fuseOnly = true
+	sr.empty = len(w.pages) == 0
+	n := max(len(w.pages), 1)
 	if err := g.Add("integrate:cluster", func(context.Context) error {
-		// Mirror the sequential fuse exactly: entity names first
-		// (clusters are unchanged, so this recomputes the same names),
-		// then claims, then the global trust stage.
-		w.entityIDs = w.entityNames()
-		claims := w.buildClaims()
-		sr.claims = make([][]fusion.Claim, n)
-		sr.pages = make([]*shardPage, n)
-		sr.estimateTrust(w, claims)
-		for _, c := range claims {
-			s := w.entityShard[c.Entity]
-			sr.claims[s] = append(sr.claims[s], c)
+		if sr.empty {
+			return nil
 		}
+		w.entityIDs = w.entityNames()
+		sr.fuseInputs(w, n)
 		return nil
 	}); err != nil {
 		return err
@@ -289,29 +259,33 @@ func (w *Wrangler) unionDelta(memo *tailMemo, rowKeys []string) map[string]bool 
 }
 
 // shardFuseReusable reports whether shard i's memoized page is provably
-// what FuseResolved would produce again: streaming session, compatible
-// fusion options, byte-identical claims, and unchanged effective trust
-// for every source claiming in the shard.
+// what fusing the shard's groups would produce again: streaming session,
+// compatible fusion options, the same group keys with byte-identical
+// claims, and unchanged effective trust for every source claiming in the
+// shard.
 func (w *Wrangler) shardFuseReusable(sr *shardRun, i int) bool {
 	m := w.memo
-	if !w.StreamingRefresh || m == nil || i >= len(m.pages) || m.pages[i] == nil || i >= len(m.claims) {
+	if !w.StreamingRefresh || m == nil || i >= len(m.pages) || m.pages[i] == nil || i >= len(m.shardKeys) {
 		return false
 	}
-	if !m.fuse.compatible(sr.opts) {
-		return false
-	}
-	if !fusion.ClaimsEqual(m.claims[i], sr.claims[i]) {
+	if !m.fuse.compatible(sr.opts) || !slices.Equal(m.shardKeys[i], sr.shardKeys[i]) {
 		return false
 	}
 	seen := map[string]bool{}
-	for _, c := range sr.claims[i] {
-		if seen[c.SourceID] {
-			continue
-		}
-		seen[c.SourceID] = true
-		if fusion.TrustOf(m.trustMap, m.fuse.defaultTrust, c.SourceID) !=
-			fusion.TrustOf(sr.opts.Trust, sr.opts.DefaultTrust, c.SourceID) {
+	for _, k := range sr.shardKeys[i] {
+		claims := sr.groups.Claims[k]
+		if !fusion.ClaimsEqual(m.groups.Claims[k], claims) {
 			return false
+		}
+		for _, c := range claims {
+			if seen[c.SourceID] {
+				continue
+			}
+			seen[c.SourceID] = true
+			if fusion.TrustOf(m.trustMap, m.fuse.defaultTrust, c.SourceID) !=
+				fusion.TrustOf(sr.opts.Trust, sr.opts.DefaultTrust, c.SourceID) {
+				return false
+			}
 		}
 	}
 	return true
@@ -331,7 +305,8 @@ func (w *Wrangler) recordTailMemo(sr *shardRun) {
 		if w.memo == nil {
 			return
 		}
-		w.memo.claims = sr.claims
+		w.memo.groups = sr.groups
+		w.memo.shardKeys = sr.shardKeys
 		w.memo.pages = sr.pages
 		w.memo.trust = sr.trustMemo
 		w.memo.trustMap = maps.Clone(sr.opts.Trust)
@@ -362,16 +337,17 @@ func (w *Wrangler) recordTailMemo(sr *shardRun) {
 		repaired[sr.rowKeys[row]] = true
 	}
 	w.memo = &tailMemo{
-		union:    w.union,
-		rowKeys:  sr.rowKeys,
-		rowIdx:   rowIdx,
-		repaired: repaired,
-		plan:     ps,
-		claims:   sr.claims,
-		pages:    sr.pages,
-		trust:    sr.trustMemo,
-		trustMap: maps.Clone(sr.opts.Trust),
-		fuse:     newFuseSig(sr.opts),
+		union:     w.union,
+		rowKeys:   sr.rowKeys,
+		rowIdx:    rowIdx,
+		repaired:  repaired,
+		plan:      ps,
+		groups:    sr.groups,
+		shardKeys: sr.shardKeys,
+		pages:     sr.pages,
+		trust:     sr.trustMemo,
+		trustMap:  maps.Clone(sr.opts.Trust),
+		fuse:      newFuseSig(sr.opts),
 	}
 	w.dirtySources = nil
 }

@@ -21,12 +21,11 @@ import (
 
 // Published is the payload of one committed serve version: every
 // read-side artefact of a wrangle, frozen at publication so no later
-// reaction (or other reader) can mutate what a reader holds. Sequential
-// sessions freeze by deep copy; sharded sessions freeze by construction
-// — table rows are immutable per-shard page records, shared by pointer
-// with neighbouring versions whose shard did not change (the delta
-// publication path). Either way all fields are frozen once published;
-// treat them as read-only.
+// reaction (or other reader) can mutate what a reader holds. Table rows
+// are frozen by construction — they are immutable per-shard page
+// records, shared by pointer with neighbouring versions whose shard did
+// not change (the delta publication path). All fields are frozen once
+// published; treat them as read-only.
 type Published struct {
 	// Table is the wrangled table, one row per entity.
 	Table *dataset.Table
@@ -114,21 +113,17 @@ func publishTitle(origin serve.Origin) string {
 	return fmt.Sprintf("wrangled (%s)", origin)
 }
 
-// publishTable hands the next version its table. The sequential tail
-// publishes a deep copy (it has no immutability discipline over its
-// records). The sharded tail's rows are immutable per-shard page records
-// — never written after their fuse task built them, and de-duplicated
-// against the previous integration by the merge — so it publishes a
-// fresh table header whose rows point at those shared records: a version
-// after a one-shard reaction shares every untouched shard's records with
-// its predecessor, making publication allocation and retention O(changed
-// shard) instead of O(table). The header copy keeps the published object
-// distinct from the live w.wrangled, so even an in-place reorder of the
-// live table could not disturb committed versions.
+// publishTable hands the next version its table. The tail's rows are
+// immutable per-shard page records — never written after their fuse task
+// built them, and de-duplicated against the previous integration by the
+// merge — so it publishes a fresh table header whose rows point at those
+// shared records: a version after a one-shard reaction shares every
+// untouched shard's records with its predecessor, making publication
+// allocation and retention O(changed shard) instead of O(table). The
+// header copy keeps the published object distinct from the live
+// w.wrangled, so even an in-place reorder of the live table could not
+// disturb committed versions.
 func (w *Wrangler) publishTable() *dataset.Table {
-	if w.pages == nil {
-		return w.wrangled.Clone()
-	}
 	out := dataset.NewTable(w.wrangled.Schema().Clone())
 	for _, r := range w.wrangled.Rows() {
 		out.Append(r) // pointer-shared immutable page records

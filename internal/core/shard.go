@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -14,19 +13,19 @@ import (
 	"repro/internal/serve"
 )
 
-// This file is the sharded integration tail: the select → integrate →
-// fuse chain that used to walk one global union table now partitions the
-// union by blocking key (er.ShardPlan), resolves and fuses every shard as
-// an independent engine task, and merges shard outputs with a stable,
+// This file is the integration tail: the union is partitioned by
+// blocking key (er.ShardPlan), every shard resolves and fuses as an
+// independent engine task, and shard outputs merge with a stable,
 // provider-order-independent merge. The contract is strict: at every
-// shard count the merged table, report, results, trust and provenance
-// are byte-identical to the sequential tail's (pinned by the
-// internal/wrangletest determinism harness). Sharding buys two things —
-// the tail fans out instead of being the run's Amdahl ceiling, and
-// publication becomes incremental: each shard's fused rows form an
-// immutable page, and a reaction that leaves a shard's rows unchanged
-// publishes a version sharing that page's records with its predecessor
-// (O(changed shard) publication instead of a full deep copy).
+// shard count — one by default — the merged table, report, results,
+// trust and provenance are byte-identical to a from-scratch union →
+// resolve → fuse recompute (pinned by the internal/wrangletest
+// determinism harness). Sharding buys two things — the tail fans out
+// instead of being the run's Amdahl ceiling, and publication is
+// incremental: each shard's fused rows form an immutable page, and a
+// reaction that leaves a shard's rows unchanged publishes a version
+// sharing that page's records with its predecessor (O(changed shard)
+// publication instead of a full deep copy).
 
 // shardPage is one shard's slice of the wrangled output: its fused
 // entities (sorted), one record per entity, and the shard's fused
@@ -53,18 +52,24 @@ func (p *shardPage) rowsEqual(q *shardPage) bool {
 	return true
 }
 
-// shardRun is the scratch state one sharded integration passes between
-// its engine tasks. Each field is written by exactly one stage and only
-// read after the barrier that stage feeds.
+// shardRun is the scratch state one integration passes between its
+// engine tasks. Each field is written by exactly one stage and only read
+// after the barrier that stage feeds.
 type shardRun struct {
 	plan         *er.ShardPlan
 	must, cannot []er.Pair
-	rowKeys      []string         // plan stage: stable key per union row
-	roots        []map[int]int    // resolve fan-out: shard -> row -> cluster representative
-	claims       [][]fusion.Claim // cluster barrier: shard -> its entities' claims
-	opts         fusion.Options   // cluster barrier: trust already estimated
-	pages        []*shardPage     // fuse fan-out
-	empty        bool             // nothing to integrate; all stages no-op
+	rowKeys      []string      // plan stage: stable key per union row
+	roots        []map[int]int // resolve fan-out: shard -> row -> cluster representative
+	// Cluster barrier: the tail's claims grouped once by (entity,
+	// attribute) — the grouping trust estimation and every shard's fuse
+	// share — each shard's group keys (sorted) and each group's owner
+	// shard, aligned with groups.Keys; opts carries the estimated trust.
+	groups    fusion.Groups
+	shardKeys [][]string
+	keyShard  []int
+	opts      fusion.Options
+	pages     []*shardPage // fuse fan-out
+	empty     bool         // nothing to integrate; all stages no-op
 
 	// Streaming bookkeeping. stream selects the incremental re-plan in
 	// the plan stage; fuseOnly marks a trust+fusion tail reusing the
@@ -94,19 +99,15 @@ func (sr *shardRun) resolvedShards() (resolved, reused int) {
 	return resolved, reused
 }
 
-// addIntegrationTasks wires the integration tail into g after deps. With
-// IntegrationShards <= 0 that is the single sequential "integrate" task;
-// otherwise the sharded pipeline: plan (union + blocking partition, or
-// the incremental re-plan when sr.stream is set) → resolve[shard]
-// fan-out (skipping shards whose clusters carried over) → cluster
-// barrier (merge clusters, name entities, estimate trust globally —
-// warm-started on streaming sessions) → fuse[shard] fan-out (reusing
-// pages whose claims and trust are unchanged) → merge.
+// addIntegrationTasks wires the integration tail into g after deps: plan
+// (union + blocking partition, or the incremental re-plan when sr.stream
+// is set) → resolve[shard] fan-out (skipping shards whose clusters
+// carried over) → cluster barrier (merge clusters, name entities,
+// estimate trust globally — warm-started on streaming sessions) →
+// fuse[shard] fan-out (reusing pages whose claims and trust are
+// unchanged) → merge.
 func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...string) error {
-	n := w.IntegrationShards
-	if n <= 0 {
-		return g.Add("integrate", func(context.Context) error { return w.integrate() }, deps...)
-	}
+	n := w.shards()
 	if err := g.Add("integrate:plan", func(context.Context) error {
 		return w.shardPlanStage(sr, n)
 	}, deps...); err != nil {
@@ -126,7 +127,7 @@ func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...st
 	return w.addFuseMergeTasks(g, sr, n, "integrate:cluster")
 }
 
-// addFuseMergeTasks wires the back half of the sharded tail — the
+// addFuseMergeTasks wires the back half of the tail — the
 // fuse[shard] fan-out and the merge barrier — shared by the full
 // integration pipeline and the planner's fuse-only tail
 // (addFuseOnlyTasks), so the two paths cannot drift apart in task ids
@@ -144,15 +145,14 @@ func (w *Wrangler) addFuseMergeTasks(g *engine.Graph, sr *shardRun, n int, deps 
 	}, fuseIDs...)
 }
 
-// shardPlanStage builds the union (shared head with the sequential tail:
-// FD repair, resolver refinement from feedback) and partitions it into
-// blocking shards. Cross-shard blocks cannot exist by construction: the
-// plan routes whole block-connected components, keyed by their smallest
-// stable row key, to a deterministic owner shard. On a streaming tail
-// (sr.stream) the partition is computed incrementally instead: the
-// dirty-row diff against the memoized union drives er.RePlan, which
-// re-blocks only changed rows and hands back the previous clusters of
-// every shard the delta provably did not touch.
+// shardPlanStage builds the union (FD repair, resolver refinement from
+// feedback) and partitions it into blocking shards. Cross-shard blocks
+// cannot exist by construction: the plan routes whole block-connected
+// components, keyed by their smallest stable row key, to a deterministic
+// owner shard. On a streaming tail (sr.stream) the partition is computed
+// incrementally instead: the dirty-row diff against the memoized union
+// drives er.RePlan, which re-blocks only changed rows and hands back the
+// previous clusters of every shard the delta provably did not touch.
 func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
 	memo := w.memo
 	empty, err := w.buildUnion()
@@ -166,8 +166,6 @@ func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
 	sr.must, sr.cannot = w.pairConstraints()
 	sr.rowKeys = w.rowKeys()
 	sr.roots = make([]map[int]int, n)
-	sr.claims = make([][]fusion.Claim, n)
-	sr.pages = make([]*shardPage, n)
 	sr.reused = make([]bool, n)
 	if w.StreamingRefresh {
 		// Streaming sessions always plan through RePlan: with a memoized
@@ -183,8 +181,6 @@ func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
 		}
 		rp, err := w.resolver.RePlan(w.union, n, sr.must, sr.cannot, sr.rowKeys, dirty, prevPlan)
 		if err != nil {
-			// Same wrapping as the sequential tail's ResolveConstrained
-			// failure: a misconfigured resolver fails identically either way.
 			return fmt.Errorf("core: resolve: %w", err)
 		}
 		sr.plan = rp.Plan
@@ -237,10 +233,11 @@ func (w *Wrangler) shardResolveStage(sr *shardRun, i int) error {
 }
 
 // shardClusterStage is the barrier between the two fan-outs: it merges
-// the per-shard clusterings into the global dense clustering (identical
-// numbering to a sequential resolve), names entities, partitions claims
-// by owning shard, and runs the one stage of fusion that is inherently
-// global — TruthFinder's trust fixpoint over the full claim set.
+// the per-shard clusterings into the global dense clustering (numbered
+// as one whole-union resolve numbers it), names entities, routes each
+// entity to an owner shard, and runs the one stage of fusion that is
+// inherently global — TruthFinder's trust fixpoint over the full claim
+// set.
 func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
@@ -255,9 +252,9 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	// An entity's claims fuse in its owning shard: the shard of its first
 	// union row. Clusters never span shards, but two clusters in
 	// different shards can share a most-frequent key and hence an entity
-	// name — the sequential tail fuses their claims together, so the
-	// first-row owner takes all of them (rows are only read, so a shard
-	// may read rows it does not own).
+	// name — fusion groups their claims together, so the first-row owner
+	// takes all of them (rows are only read, so a shard may read rows it
+	// does not own).
 	entityShard := make(map[string]int, clusters.Num)
 	for i, e := range w.entityIDs {
 		if _, ok := entityShard[e]; !ok {
@@ -267,67 +264,81 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	// Kept on the wrangler: a later fuse-only reaction reuses this
 	// routing, since trust changes never move an entity's shard.
 	w.entityShard = entityShard
-	claims := w.buildClaims()
-	sr.estimateTrust(w, claims)
-	// Partition claims by owning shard into one backing slab: counts are
-	// known after one pass, so each shard's slice is carved out of a
-	// single allocation, claim order preserved within each shard.
-	counts := make([]int, len(sr.claims))
-	for _, c := range claims {
-		counts[entityShard[c.Entity]]++
-	}
-	slab := make([]fusion.Claim, len(claims))
-	next := make([]int, len(sr.claims))
-	off := 0
-	for s, n := range counts {
-		next[s] = off
-		off += n
-	}
-	for _, c := range claims {
-		s := entityShard[c.Entity]
-		slab[next[s]] = c
-		next[s]++
-	}
-	off = 0
-	for s, n := range counts {
-		sr.claims[s] = slab[off : off+n : off+n]
-		off += n
-	}
+	sr.fuseInputs(w, sr.plan.NumShards)
 	return nil
 }
 
-// estimateTrust runs the one cross-shard stage of fusion, fanning the
-// fixpoint's trust-coupled components out over the session's workers
-// (byte-identical to sequential at any count). On streaming sessions the
-// TruthFinder fixpoint warm-starts from the memoized group state —
-// unchanged (entity, attribute) groups keep their prepared buckets, and
-// the short-circuit is per component: a reaction that dirties one
-// component's claims re-iterates that component only, adopting the
-// others' memoized trust (and when nothing relevant changed at all, no
-// component iterates). Either way the result is float-exact with the
-// cold EstimateTrust the non-streaming tails run. Runs inside the single
+// fuseInputs builds the tail's claims, groups them once by (entity,
+// attribute), runs the global trust stage over that grouping and routes
+// every group to its entity's owner shard (w.entityShard) for the fuse
+// fan-out. Runs inside the single cluster-barrier task.
+func (sr *shardRun) fuseInputs(w *Wrangler, n int) {
+	sr.groups = fusion.GroupClaims(w.buildClaims())
+	sr.estimateTrust(w)
+	sr.shardKeys, sr.keyShard, _ = partitionGroups(sr.groups, w.entityShard, n)
+	sr.pages = make([]*shardPage, n)
+}
+
+// partitionGroups routes each group to the shard owning its entity. The
+// per-shard key lists are carved out of one counted slab and keep the
+// global sorted key order; keyShard gives each g.Keys entry's shard. ok
+// is false when some group's entity has no owner in entityShard (such a
+// group is routed to shard 0).
+func partitionGroups(g fusion.Groups, entityShard map[string]int, n int) (shardKeys [][]string, keyShard []int, ok bool) {
+	ok = true
+	keyShard = make([]int, len(g.Keys))
+	counts := make([]int, n)
+	for i, k := range g.Keys {
+		s, known := entityShard[g.Claims[k][0].Entity]
+		ok = ok && known
+		keyShard[i] = s
+		counts[s]++
+	}
+	slab := make([]string, len(g.Keys))
+	shardKeys = make([][]string, n)
+	off := 0
+	for s, c := range counts {
+		shardKeys[s] = slab[off : off : off+c]
+		off += c
+	}
+	for i, k := range g.Keys {
+		s := keyShard[i]
+		shardKeys[s] = append(shardKeys[s], k)
+	}
+	return shardKeys, keyShard, ok
+}
+
+// estimateTrust runs the one cross-shard stage of fusion over the tail's
+// grouped claims, fanning the fixpoint's trust-coupled components out
+// over the session's workers (byte-identical to sequential at any
+// count). On streaming sessions the TruthFinder fixpoint warm-starts
+// from the memoized group state — unchanged (entity, attribute) groups
+// keep their prepared buckets, and the short-circuit is per component:
+// a reaction that dirties one component's claims re-iterates that
+// component only, adopting the others' memoized trust (and when nothing
+// relevant changed at all, no component iterates). Either way the result
+// is float-exact with the cold estimation. Runs inside the single
 // cluster-barrier task, so writing w.lastTrust is race-free.
-func (sr *shardRun) estimateTrust(w *Wrangler, claims []fusion.Claim) {
+func (sr *shardRun) estimateTrust(w *Wrangler) {
 	if !w.StreamingRefresh {
-		sr.opts, w.lastTrust = fusion.EstimateTrustParallel(claims, w.fusionOptions(), w.workers())
+		sr.opts, w.lastTrust = sr.groups.EstimateTrust(w.fusionOptions(), w.workers())
 		return
 	}
 	var prev *fusion.TrustMemo
 	if w.memo != nil {
 		prev = w.memo.trust
 	}
-	sr.opts, sr.trustMemo, _, w.lastTrust = fusion.EstimateTrustWarmParallel(claims, w.fusionOptions(), prev, w.workers())
+	sr.opts, sr.trustMemo, _, w.lastTrust = sr.groups.EstimateTrustWarm(w.fusionOptions(), prev, w.workers())
 }
 
-// shardFuseStage fuses one shard's claims under the globally estimated
-// trust and materialises the shard's page. Claim partitioning preserved
-// row order, so every (entity, attribute) group sees its claims in the
-// exact order the sequential fuse would — bucket representatives and
-// vote accumulation match bit for bit. When the shard's claims and the
-// effective trust of every source claiming in it are unchanged from the
-// memoized tail, the previous page — entities, records and results — is
-// adopted by reference instead: fusion provably could not produce
-// anything else.
+// shardFuseStage fuses one shard's groups under the globally estimated
+// trust and materialises the shard's page. Each group holds its claims
+// in row order, as a whole-union fuse sees them — bucket
+// representatives and vote accumulation match bit for bit. When the
+// shard's claims and the effective trust of every source claiming in it
+// are unchanged from the memoized tail, the previous page — entities,
+// records and results — is adopted by reference instead: fusion
+// provably could not produce anything else.
 func (w *Wrangler) shardFuseStage(sr *shardRun, i int) {
 	if sr.empty {
 		return
@@ -336,7 +347,7 @@ func (w *Wrangler) shardFuseStage(sr *shardRun, i int) {
 		sr.pages[i] = w.memo.pages[i]
 		return
 	}
-	results := fusion.FuseResolved(sr.claims[i], sr.opts)
+	results := sr.groups.Fuse(sr.shardKeys[i], sr.opts)
 	entities, rows := materialize(results, w.Config.Target)
 	sr.pages[i] = &shardPage{entities: entities, rows: rows, results: results}
 }
@@ -350,11 +361,7 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
 	}
-	parts := make([][]fusion.Result, len(sr.pages))
-	for i, p := range sr.pages {
-		parts[i] = p.results
-	}
-	w.results = fusion.MergeResults(parts...)
+	w.results = mergeResults(sr.pages, sr.keyShard)
 	w.supporters = nil
 	w.trust = sr.opts.Trust
 
@@ -377,35 +384,35 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	w.lastChange = changeSet(w.pages, sr.pages, shared)
 	w.pages = sr.pages
 
-	// Stable merge: entities are disjoint across shards, so sorting the
-	// concatenation by entity reproduces the sequential table's row order
-	// regardless of shard count or finish order.
-	type entityRow struct {
-		entity string
-		row    dataset.Record
-	}
-	var all []entityRow
-	for _, p := range sr.pages {
-		for j, e := range p.entities {
-			all = append(all, entityRow{entity: e, row: p.rows[j]})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].entity < all[b].entity })
-	out := dataset.NewTable(w.Config.Target.Clone())
-	entities := make([]string, len(all))
-	for i, e := range all {
-		out.Append(e.row)
-		entities[i] = e.entity
-	}
-	w.wrangled = out
-	w.rowEntities = entities
-	w.LastStats.RowsWrangled = out.Len()
+	w.wrangled, w.rowEntities = mergePages(sr.pages, w.Config.Target)
+	w.LastStats.RowsWrangled = w.wrangled.Len()
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},
 		"fusion.Fuse", []provenance.Ref{{Kind: provenance.KindCluster, ID: "union"}}, sr.opts.Policy.String())
 	if w.StreamingRefresh {
 		w.recordTailMemo(sr)
 	}
 	return nil
+}
+
+// mergeResults returns every page's results in global key order. Each
+// page holds one result per group of its shard, in key order, so walking
+// the global sorted keys (keyShard gives each key's shard) and taking the
+// owner page's next result yields that order. Pages are immutable, so
+// when one page holds every result (always so for a single shard) its
+// slice is the merge.
+func mergeResults(pages []*shardPage, keyShard []int) []fusion.Result {
+	for _, p := range pages {
+		if len(p.results) == len(keyShard) {
+			return p.results
+		}
+	}
+	results := make([]fusion.Result, len(keyShard))
+	next := make([]int, len(pages))
+	for j, s := range keyShard {
+		results[j] = pages[s].results[next[s]]
+		next[s]++
+	}
+	return results
 }
 
 // changeSet summarises what the freshly merged pages changed against the
@@ -479,16 +486,9 @@ func diffPage(prev, cur *shardPage, changed, removed map[string]bool) {
 	}
 }
 
-// rowKey is THE "source#idxInSource" row identifier format — feedback
-// addressing (RowKey, rowKeyIndex) and shard routing (rowKeys) must
-// agree on it, so it exists exactly once. The interner's Key method
-// (intern.Table) builds the identical format; rowKeys pins the agreement
-// with this function in its tests.
-func rowKey(src string, idxInSource int) string {
-	return fmt.Sprintf("%s#%d", src, idxInSource)
-}
-
-// rowKeys returns the stable feedback key of every union row — the
+// rowKeys returns the stable feedback key of every union row, in the
+// one "source#idxInSource" format (intern.Table.Key) that feedback
+// addressing (RowKey, rowKeyIndex) and shard routing share — the
 // identifiers shard routing hashes, so a component keeps its shard
 // across reactions that only touch other sources. Keys are interned for
 // the run's lifetime and the per-union slice is cached (buildUnion
@@ -510,29 +510,4 @@ func (w *Wrangler) rowKeys() []string {
 	}
 	w.unionKeys = out
 	return out
-}
-
-// SharedRecords reports how many of cur's records are shared with prev
-// by pointer identity — observability for the delta publication path: a
-// version published after a one-shard reaction shares every untouched
-// shard's records with its predecessor.
-func SharedRecords(prev, cur *dataset.Table) int {
-	if prev == nil || cur == nil {
-		return 0
-	}
-	seen := make(map[*dataset.Value]bool, prev.Len())
-	for i := 0; i < prev.Len(); i++ {
-		r := prev.Row(i)
-		if len(r) > 0 {
-			seen[&r[0]] = true
-		}
-	}
-	shared := 0
-	for i := 0; i < cur.Len(); i++ {
-		r := cur.Row(i)
-		if len(r) > 0 && seen[&r[0]] {
-			shared++
-		}
-	}
-	return shared
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/feedback"
 	"repro/internal/sources"
 )
@@ -29,6 +30,30 @@ func (p *deltaProvider) Clock() int                        { return 0 }
 
 func csvSource(id, payload string) *sources.Source {
 	return &sources.Source{ID: id, Kind: sources.KindCSV, Raw: payload}
+}
+
+// sharedRecords reports how many of cur's records are shared with prev
+// by pointer identity: a version published after a one-shard reaction
+// shares every untouched shard's records with its predecessor.
+func sharedRecords(prev, cur *dataset.Table) int {
+	if prev == nil || cur == nil {
+		return 0
+	}
+	seen := make(map[*dataset.Value]bool, prev.Len())
+	for i := 0; i < prev.Len(); i++ {
+		r := prev.Row(i)
+		if len(r) > 0 {
+			seen[&r[0]] = true
+		}
+	}
+	shared := 0
+	for i := 0; i < cur.Len(); i++ {
+		r := cur.Row(i)
+		if len(r) > 0 && seen[&r[0]] {
+			shared++
+		}
+	}
+	return shared
 }
 
 // newDeltaWrangler builds a sharded wrangler over two sources whose rows
@@ -77,7 +102,7 @@ func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 	if v2.Seq() != 2 {
 		t.Fatalf("refresh did not publish: seq=%d", v2.Seq())
 	}
-	if shared := SharedRecords(v1.Data().Table, v2.Data().Table); shared != v2.Data().Table.Len() {
+	if shared := sharedRecords(v1.Data().Table, v2.Data().Table); shared != v2.Data().Table.Len() {
 		t.Fatalf("no-op refresh shared %d/%d records, want all", shared, v2.Data().Table.Len())
 	}
 
@@ -90,7 +115,7 @@ func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 	}
 	v3 := w.Serve.Latest()
 	tab2, tab3 := v2.Data().Table, v3.Data().Table
-	shared := SharedRecords(tab2, tab3)
+	shared := sharedRecords(tab2, tab3)
 	if shared == 0 {
 		t.Fatal("changed-source refresh shared nothing; untouched shards should share")
 	}
@@ -135,8 +160,8 @@ func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 
 // TestFuseOnlyReactionKeepsDelta pins the fuse-tail reaction path: a
 // value-feedback reaction (trust moved, union and clustering did not)
-// re-fuses per shard instead of falling back to the sequential fuse, so
-// the published version still shares every unchanged record with its
+// re-fuses per shard over the stored routing, so the published version
+// still shares every unchanged record with its
 // predecessor and the delta chain survives the most common reaction.
 func TestFuseOnlyReactionKeepsDelta(t *testing.T) {
 	ctx := context.Background()
@@ -168,7 +193,7 @@ func TestFuseOnlyReactionKeepsDelta(t *testing.T) {
 	}
 	// …but no fused value changed (no conflicting claims here), so every
 	// record is still shared with the predecessor.
-	if shared := SharedRecords(v1.Data().Table, v2.Data().Table); shared != v2.Data().Table.Len() {
+	if shared := sharedRecords(v1.Data().Table, v2.Data().Table); shared != v2.Data().Table.Len() {
 		t.Errorf("fuse-only reaction shared %d/%d records, want all", shared, v2.Data().Table.Len())
 	}
 	// A follow-up refresh still publishes a delta — the chain was not
@@ -177,27 +202,35 @@ func TestFuseOnlyReactionKeepsDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	v3 := w.Serve.Latest()
-	if shared := SharedRecords(v2.Data().Table, v3.Data().Table); shared != v3.Data().Table.Len() {
+	if shared := sharedRecords(v2.Data().Table, v3.Data().Table); shared != v3.Data().Table.Len() {
 		t.Errorf("post-reaction refresh shared %d/%d records, want all", shared, v3.Data().Table.Len())
 	}
 }
 
-// TestSequentialPublishStillCopies pins the contrast: without sharding
-// there are no immutable pages, so every publication deep-copies and no
-// records are shared between versions.
-func TestSequentialPublishStillCopies(t *testing.T) {
+// TestDefaultSessionPublishesDeltas pins that a default session (the
+// zero IntegrationShards, one shard) publishes deltas like any sharded
+// one: its first version is a full change, and a refresh that leaves the
+// fused rows unchanged publishes a version sharing every record with its
+// predecessor under a ChangeSet that bounds the change.
+func TestDefaultSessionPublishesDeltas(t *testing.T) {
 	ctx := context.Background()
 	w, _ := newDeltaWrangler(0)
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
 	v1 := w.Serve.Latest()
+	if !v1.Changes().Full {
+		t.Fatalf("first version changes = %+v, want a full change", v1.Changes())
+	}
 	if _, err := w.RefreshSourcesContext(ctx, []string{"srcB"}); err != nil {
 		t.Fatal(err)
 	}
 	v2 := w.Serve.Latest()
-	if shared := SharedRecords(v1.Data().Table, v2.Data().Table); shared != 0 {
-		t.Errorf("sequential publish shared %d records; deep copies share none", shared)
+	if shared := sharedRecords(v1.Data().Table, v2.Data().Table); shared != v2.Data().Table.Len() {
+		t.Errorf("no-op refresh shared %d/%d records, want all", shared, v2.Data().Table.Len())
+	}
+	if cs := v2.Changes(); cs.Full || cs.SharedPages != 1 || cs.ChangedPages != 0 {
+		t.Errorf("no-op refresh changes = %+v, want one shared page and no full change", cs)
 	}
 }
 
@@ -233,4 +266,43 @@ func TestShardedRunMatchesSequentialAcrossReactions(t *testing.T) {
 	if a, b := runFingerprint(t, seqW), runFingerprint(t, shW); a != b {
 		t.Fatalf("post-refresh diverged:\nsequential:\n%s\nsharded:\n%s", a, b)
 	}
+}
+
+// TestFuseOnlyAfterEmptyUnion pins the empty-union path of the tail: once
+// a reaction integrates an empty union, the outputs are reset (empty
+// table, no results, a full change), and a later value-feedback reaction
+// — which re-fuses over the stored clustering — finds nothing to re-fuse
+// and publishes that same empty output instead of fusing stale clusters.
+func TestFuseOnlyAfterEmptyUnion(t *testing.T) {
+	ctx := context.Background()
+	w, p := newDeltaWrangler(0)
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	entity := w.Results()[0].Entity
+	for _, id := range p.order {
+		p.srcs[id] = csvSource(id, "sku,name,brand,price\n")
+	}
+	if _, err := w.RefreshSourcesContext(ctx, p.order); err != nil {
+		t.Fatal(err)
+	}
+	empty := func(stage string) {
+		t.Helper()
+		v := w.Serve.Latest()
+		if n := v.Data().Table.Len(); n != 0 || len(w.Results()) != 0 || !v.Changes().Full {
+			t.Fatalf("%s: published %d rows, %d results, changes %+v; want the empty output as a full change",
+				stage, n, len(w.Results()), v.Changes())
+		}
+	}
+	empty("empty refresh")
+	seq := w.Serve.Latest().Seq()
+	w.AddFeedback(feedback.Item{Kind: feedback.ValueCorrect, SourceID: "srcA",
+		Entity: entity, Attribute: "price", Worker: "expert", Cost: 0.1})
+	if _, err := w.ReactToFeedback(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Serve.Latest().Seq(); got != seq+1 {
+		t.Fatalf("value feedback published seq %d, want %d", got, seq+1)
+	}
+	empty("value feedback")
 }

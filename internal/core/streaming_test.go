@@ -55,7 +55,7 @@ func TestStreamingRefreshScalesWithDirtyShards(t *testing.T) {
 			}
 		}
 		after := w.Serve.Latest().Data().Table
-		if shared := SharedRecords(before, after); shared == 0 {
+		if shared := sharedRecords(before, after); shared == 0 {
 			t.Errorf("round %d: no records shared with the predecessor version", round)
 		}
 	}

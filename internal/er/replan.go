@@ -33,15 +33,16 @@ type blockIndex struct {
 	rowBlocks map[string][]string        // row key -> block keys it is in
 }
 
-// buildBlockIndex blocks every row of the table, keyed by key(i).
-func (r *Resolver) buildBlockIndex(t *dataset.Table, key func(int) string) *blockIndex {
+// newBlockIndex indexes the prepared rows' block keys — exactly
+// blockKeysOf's keys for each row — by stable row key.
+func newBlockIndex(feats *tableFeatures, rowKeys []string) *blockIndex {
 	idx := &blockIndex{
 		blocks:    map[string]map[string]bool{},
-		rowBlocks: map[string][]string{},
+		rowBlocks: make(map[string][]string, len(feats.rows)),
 	}
-	for i := 0; i < t.Len(); i++ {
-		rk := key(i)
-		bks := r.blockKeysOf(t, i)
+	for i := range feats.rows {
+		rk := rowKeys[i]
+		bks := feats.rows[i].blockKeys
 		idx.rowBlocks[rk] = bks
 		for _, bk := range bks {
 			if idx.blocks[bk] == nil {
@@ -142,16 +143,21 @@ func pairKeyOf(rowKeys []string, p Pair) pairKey {
 	return pairKey{a, b}
 }
 
-// BuildPlanState captures a completed round: the plan (with its block
-// index), the per-shard resolve roots, and the constraints, all
-// translated to row keys. rowKeys must be the stable keys the plan was
+// BuildPlanState captures a completed round: the plan's block index,
+// the per-shard resolve roots, and the constraints, all translated to
+// row keys. A fresh PlanShards plan carries no index — only the
+// incremental re-plan reads one — so it is built here from the plan's
+// prepared block keys. rowKeys must be the stable keys the plan was
 // built with.
 func BuildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []map[int]int, must, cannot []Pair) (*PlanState, error) {
-	if plan.idx == nil {
-		return nil, fmt.Errorf("er: plan carries no block index")
-	}
 	if len(rowKeys) != len(plan.RowShard) {
 		return nil, fmt.Errorf("er: %d row keys for a %d-row plan", len(rowKeys), len(plan.RowShard))
+	}
+	if plan.idx == nil {
+		if plan.feats == nil || len(plan.feats.rows) != len(rowKeys) {
+			return nil, fmt.Errorf("er: plan carries no block index or prepared rows")
+		}
+		plan.idx = newBlockIndex(plan.feats, rowKeys)
 	}
 	st := &PlanState{
 		shards:     plan.NumShards,

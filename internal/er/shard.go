@@ -2,7 +2,7 @@ package er
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -43,9 +43,11 @@ type ShardPlan struct {
 	// formed — the upper bound on useful parallelism.
 	Components int
 
-	// idx is the block index the plan's pairs were derived from, keyed by
-	// stable row key. BuildPlanState hands it to the next incremental
-	// re-plan (replan.go), which updates only the dirty rows' blocks.
+	// idx is the block index an incremental re-plan (replan.go) patched
+	// to derive the plan's pairs, keyed by stable row key; nil for a
+	// fresh PlanShards plan, whose pairs come from CandidatePairs.
+	// BuildPlanState hands it to the next re-plan (building it from
+	// feats when absent), which updates only the dirty rows' blocks.
 	idx *blockIndex
 	// feats is the prepared matcher state the plan was blocked with;
 	// BuildPlanState hands it on so the next re-plan prepares only dirty
@@ -72,14 +74,7 @@ func (r *Resolver) PlanShards(t *dataset.Table, n int, must []Pair, rowKeys []st
 		n = 1
 	}
 	r.Prepare(t)
-	key := rowKeyFn(rowKeys)
-	idx := r.buildBlockIndex(t, key)
-	pairs, err := idx.pairs(rowIndexOf(t.Len(), key), r.MaxBlockSize)
-	if err != nil {
-		return nil, err
-	}
-	plan, _ := assemblePlan(t.Len(), n, pairs, must, key)
-	plan.idx = idx
+	plan, _ := assemblePlan(t.Len(), n, r.CandidatePairs(t), must, rowKeyFn(rowKeys))
 	plan.feats = r.prep
 	return plan, nil
 }
@@ -137,40 +132,63 @@ func assemblePlan(rows, n int, pairs, must []Pair, key func(int) string) (*Shard
 			union(p.I, p.J)
 		}
 	}
-	// Component owner key: the smallest row key in the component.
-	owner := map[int]string{}
+	// Component owner key: the smallest row key in the component, kept
+	// per root (keys are never empty, so "" marks an unset owner).
+	comp := make([]int, rows)
+	owner := make([]string, rows)
 	for i := 0; i < rows; i++ {
 		root := find(i)
-		k := key(i)
-		if cur, ok := owner[root]; !ok || k < cur {
+		comp[i] = root
+		if k := key(i); owner[root] == "" || k < owner[root] {
 			owner[root] = k
 		}
 	}
 	plan := &ShardPlan{
-		NumShards:  n,
-		RowShard:   make([]int, rows),
-		Rows:       make([][]int, n),
-		Pairs:      make([][]Pair, n),
-		Components: len(owner),
+		NumShards: n,
+		RowShard:  make([]int, rows),
+		Rows:      make([][]int, n),
+		Pairs:     make([][]Pair, n),
 	}
-	shardOf := map[int]int{}
-	for root, k := range owner {
-		h := fnv.New32a()
-		h.Write([]byte(k))
-		shardOf[root] = int(h.Sum32() % uint32(n))
+	// Each root hashes its owner key (32-bit FNV-1a) to the owner shard.
+	// The union-find is done once comp holds every root, so parent is
+	// reused as the per-root shard.
+	shardOf := parent
+	for i := 0; i < rows; i++ {
+		if comp[i] == i {
+			plan.Components++
+			h := uint32(2166136261)
+			for _, c := range []byte(owner[i]) {
+				h ^= uint32(c)
+				h *= 16777619
+			}
+			shardOf[i] = int(h % uint32(n))
+		}
 	}
 	for i := 0; i < rows; i++ {
-		s := shardOf[find(i)]
+		s := shardOf[comp[i]]
 		plan.RowShard[i] = s
 		plan.Rows[s] = append(plan.Rows[s], i)
 	}
+	// Per-shard pairs are carved out of one counted slab, in input order
+	// within a shard. When every pair lies in one shard (always so for a
+	// single shard), that shard's list is the input list itself.
+	counts := make([]int, n)
 	for _, p := range pairs {
-		s := plan.RowShard[p.I] // == RowShard[p.J]: pairs never cross components
-		plan.Pairs[s] = append(plan.Pairs[s], p)
+		counts[plan.RowShard[p.I]]++ // == RowShard[p.J]: pairs never cross components
 	}
-	comp := make([]int, rows)
-	for i := 0; i < rows; i++ {
-		comp[i] = find(i)
+	if s := slices.Index(counts, len(pairs)); s >= 0 {
+		plan.Pairs[s] = pairs
+		return plan, comp
+	}
+	slab := make([]Pair, len(pairs))
+	off := 0
+	for s, c := range counts {
+		plan.Pairs[s] = slab[off : off : off+c]
+		off += c
+	}
+	for _, p := range pairs {
+		s := plan.RowShard[p.I]
+		plan.Pairs[s] = append(plan.Pairs[s], p)
 	}
 	return plan, comp
 }

@@ -125,11 +125,20 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// groupClaims partitions claims by (entity, attribute), preserving claim
-// order within each group, and returns the sorted group keys. Group order
-// and in-group claim order are both part of fusion's determinism
-// contract: bucket representatives and float accumulation follow them.
-func groupClaims(claims []Claim) (map[string][]Claim, []string) {
+// Groups is a claim set partitioned by (entity, attribute): Keys holds
+// the distinct group keys sorted, Claims each group's claims in input
+// order. Group order and in-group claim order are both part of fusion's
+// determinism contract — bucket representatives and float accumulation
+// follow them — so one grouping serves trust estimation and per-group
+// fusion alike, and fusing any subset of Keys yields exactly the results
+// those groups get inside a whole-set fuse.
+type Groups struct {
+	Keys   []string
+	Claims map[string][]Claim
+}
+
+// GroupClaims partitions claims by (entity, attribute).
+func GroupClaims(claims []Claim) Groups {
 	// Key each claim once, sort claim indices by (key, input position),
 	// and carve the groups out of one slab: appending claims to
 	// map-valued slices re-copied every growing group and was the
@@ -152,19 +161,18 @@ func groupClaims(claims []Claim) (map[string][]Claim, []string) {
 		return a - b
 	})
 	slab := make([]Claim, len(claims))
-	groups := make(map[string][]Claim, len(claims)/4+1)
-	var keys []string
+	g := Groups{Claims: make(map[string][]Claim, len(claims)/4+1)}
 	start := 0
 	for i, id := range idx {
 		slab[i] = claims[id]
 		if i+1 == len(idx) || ckeys[idx[i+1]] != ckeys[id] {
 			k := ckeys[id]
-			groups[k] = slab[start : i+1 : i+1]
-			keys = append(keys, k)
+			g.Claims[k] = slab[start : i+1 : i+1]
+			g.Keys = append(g.Keys, k)
 			start = i + 1
 		}
 	}
-	return groups, keys
+	return g
 }
 
 // Fuse resolves all claims into one result per (entity, attribute).
@@ -180,17 +188,9 @@ func Fuse(claims []Claim, opts Options) []Result {
 // component stats alongside the results. Claims are grouped once and
 // shared between trust estimation and per-group fusion.
 func FuseParallel(claims []Claim, opts Options, workers int) ([]Result, Options, TrustStats) {
-	opts = opts.normalized()
-	groups, keys := groupClaims(claims)
-	var st TrustStats
-	if opts.Policy == TruthFinder {
-		st = estimateTrust(groups, keys, &opts, workers)
-	}
-	out := make([]Result, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, fuseGroup(groups[k], opts))
-	}
-	return out, opts, st
+	g := GroupClaims(claims)
+	opts, st := g.EstimateTrust(opts, workers)
+	return g.Fuse(g.Keys, opts), opts, st
 }
 
 // EstimateTrust runs the global half of fusion — the TruthFinder trust
@@ -211,11 +211,15 @@ func EstimateTrust(claims []Claim, opts Options) Options {
 // result is byte-identical to EstimateTrust at any worker count. The
 // returned TrustStats reports the component shape of the estimation.
 func EstimateTrustParallel(claims []Claim, opts Options, workers int) (Options, TrustStats) {
+	return GroupClaims(claims).EstimateTrust(opts, workers)
+}
+
+// EstimateTrust is EstimateTrustParallel over an existing grouping.
+func (g Groups) EstimateTrust(opts Options, workers int) (Options, TrustStats) {
 	opts = opts.normalized()
 	var st TrustStats
 	if opts.Policy == TruthFinder {
-		groups, keys := groupClaims(claims)
-		st = estimateTrust(groups, keys, &opts, workers)
+		st = estimateTrust(g.Claims, g.Keys, &opts, workers)
 	}
 	return opts, st
 }
@@ -228,11 +232,18 @@ func EstimateTrustParallel(claims []Claim, opts Options, workers int) (Options, 
 // integration tail is built on. FuseResolved never mutates opts.Trust,
 // so concurrent calls may share one options value.
 func FuseResolved(claims []Claim, opts Options) []Result {
+	g := GroupClaims(claims)
+	return g.Fuse(g.Keys, opts)
+}
+
+// Fuse is FuseResolved over the groups named by keys — a sorted subset
+// of g.Keys — returning one result per key, in keys order. Fusing
+// disjoint key subsets concurrently under one options value is safe.
+func (g Groups) Fuse(keys []string, opts Options) []Result {
 	opts = opts.normalized()
-	groups, keys := groupClaims(claims)
-	out := make([]Result, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, fuseGroup(groups[k], opts))
+	out := make([]Result, len(keys))
+	for i, k := range keys {
+		out[i] = fuseGroup(g.Claims[k], opts)
 	}
 	return out
 }

@@ -457,13 +457,20 @@ func EstimateTrustWarm(claims []Claim, opts Options, prev *TrustMemo) (Options, 
 // many components the claim set has and how many actually re-iterated.
 // Byte-identical to the sequential cold path at any worker count.
 func EstimateTrustWarmParallel(claims []Claim, opts Options, prev *TrustMemo, workers int) (Options, *TrustMemo, bool, TrustStats) {
+	return GroupClaims(claims).EstimateTrustWarm(opts, prev, workers)
+}
+
+// EstimateTrustWarm is EstimateTrustWarmParallel over an existing
+// grouping. The memo keeps g's groups as its record of this round's
+// claims, so g must not be mutated afterwards.
+func (g Groups) EstimateTrustWarm(opts Options, prev *TrustMemo, workers int) (Options, *TrustMemo, bool, TrustStats) {
 	opts = opts.normalized()
 	if opts.Policy != TruthFinder {
 		// No fixpoint exists for this policy; EstimateTrust is a no-op
 		// beyond normalization, so there is nothing to warm.
 		return opts, &TrustMemo{policy: opts.Policy}, true, TrustStats{}
 	}
-	groups, keys := groupClaims(claims)
+	groups, keys := g.Claims, g.Keys
 	seeds := maps.Clone(opts.Trust)
 	pinned := maps.Clone(opts.Pinned)
 	reusable := prev != nil && prev.policy == TruthFinder &&

@@ -192,25 +192,34 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	// Snapshot family structure under the lock; the atomic values are
-	// read lock-free while rendering.
-	fams := make([]*family, len(names))
-	orders := make([][]string, len(names))
+	// Snapshot family structure under the lock — help text and the
+	// series pointers in signature order, since get inserts into the
+	// series map concurrently; the atomic values are read lock-free
+	// while rendering.
+	type famSnap struct {
+		name, help string
+		kind       kind
+		series     []*series
+	}
+	fams := make([]famSnap, len(names))
 	for i, name := range names {
 		f := r.families[name]
-		fams[i] = f
-		orders[i] = append([]string(nil), f.order...)
+		ss := make([]*series, len(f.order))
+		for j, sig := range f.order {
+			ss[j] = f.series[sig]
+		}
+		fams[i] = famSnap{name: f.name, help: f.help, kind: f.kind, series: ss}
 	}
 	r.mu.Unlock()
 
 	var b strings.Builder
-	for i, f := range fams {
+	for _, f := range fams {
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, sig := range orders[i] {
-			s := f.series[sig]
+		for _, s := range f.series {
+			sig := s.sig
 			switch f.kind {
 			case kindCounter:
 				writeSample(&b, f.name, "", sig, "", strconv.FormatInt(s.c.Value(), 10))

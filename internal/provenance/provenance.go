@@ -22,7 +22,6 @@ const (
 	KindSource     Kind = "source"     // a raw data source
 	KindExtraction Kind = "extraction" // the output of a wrapper on a source
 	KindWrapper    Kind = "wrapper"    // an induced wrapper
-	KindMatch      Kind = "match"      // a schema match
 	KindMapping    Kind = "mapping"    // a generated mapping
 	KindCluster    Kind = "cluster"    // an entity-resolution cluster set
 	KindFusion     Kind = "fusion"     // a fused (wrangled) dataset

@@ -52,14 +52,6 @@ func (ix *Indexed) Touched() int { return ix.touched }
 // ResetWork zeroes the touched counter.
 func (ix *Indexed) ResetWork() { ix.touched = 0 }
 
-// HasIndex reports whether a column is indexed — the access-constraint
-// check of [17]: a query plan is scale-independent only if every access
-// goes through an index.
-func (ix *Indexed) HasIndex(col string) bool {
-	_, ok := ix.indexes[col]
-	return ok
-}
-
 // Lookup returns the rows where col = v, touching only those rows. It
 // fails when no index exists on col (the bounded-evaluation contract: no
 // fallback scans).

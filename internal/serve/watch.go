@@ -28,13 +28,16 @@ package serve
 // before going live, atomically with registration. A fromSeq whose
 // successor has already been pruned reports ErrCompacted — the same
 // typed error At returns for a pruned seq — telling the subscriber to
-// re-bootstrap from a full snapshot instead.
+// re-bootstrap from a full snapshot instead. A fromSeq ahead of the
+// latest version is a subscription that waits: its stream starts at
+// fromSeq+1 once that version is published.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // ErrCompacted reports that a requested version precedes the store's
@@ -115,6 +118,10 @@ type CancelFunc func()
 type watcher[T any] struct {
 	id uint64
 	ch chan Change[T]
+	// from is the last seq the subscriber has seen: publications at or
+	// below it are not delivered (a subscription ahead of the latest
+	// version waits for fromSeq+1).
+	from uint64
 	// limit is the number of queued-but-undelivered changes that forces
 	// eviction on the next delivery; cap(ch) is limit+1, reserving one
 	// slot so the eviction notice itself can always be delivered.
@@ -153,9 +160,14 @@ func (s *Store[T]) WatchBuffer() int {
 // and in order. fromSeq is the last version the subscriber has already
 // seen — 0 subscribes from the beginning, Latest().Seq() from "now".
 //
+// A fromSeq ahead of the latest published seq is not an error: the
+// subscription waits, and its stream starts with version fromSeq+1 once
+// that is published — the rule a resuming client or a follower that is
+// ahead of this store needs. Cancelling while it waits closes the
+// channel.
+//
 // Errors: ErrCompacted if a needed version has already been pruned
-// (fromSeq below the retention window — re-bootstrap from Latest), or a
-// plain error if fromSeq exceeds the latest published seq.
+// (fromSeq below the retention window — re-bootstrap from Latest).
 //
 // Delivery is push with a bounded per-subscriber buffer (SetWatchBuffer):
 // a subscriber whose buffer is full at publish time receives one final
@@ -165,13 +177,6 @@ func (s *Store[T]) WatchBuffer() int {
 // termination path, so consumers may simply range over it.
 func (s *Store[T]) Watch(ctx context.Context, fromSeq uint64) (<-chan Change[T], CancelFunc, error) {
 	s.mu.Lock()
-	if fromSeq > s.seq {
-		s.mu.Unlock()
-		if m := s.met; m != nil {
-			m.errNotFound.Inc()
-		}
-		return nil, nil, fmt.Errorf("serve: watch from %d: version not yet published (latest is %d)", fromSeq, s.seq)
-	}
 	var replay []*Version[T]
 	for _, v := range s.history {
 		if v.seq > fromSeq {
@@ -182,12 +187,14 @@ func (s *Store[T]) Watch(ctx context.Context, fromSeq uint64) (<-chan Change[T],
 	// must still hold all of them. The boundary is exact: with oldest
 	// retained seq O, fromSeq = O-1 is serveable and fromSeq = O-2 is
 	// not (version O-1 is gone).
-	if want := s.seq - fromSeq; uint64(len(replay)) < want {
-		s.mu.Unlock()
-		if m := s.met; m != nil {
-			m.errCompacted.Inc()
+	if fromSeq < s.seq {
+		if want := s.seq - fromSeq; uint64(len(replay)) < want {
+			s.mu.Unlock()
+			if m := s.met; m != nil {
+				m.errCompacted.Inc()
+			}
+			return nil, nil, fmt.Errorf("serve: watch from %d: %d of %d catch-up versions %w", fromSeq, want-uint64(len(replay)), want, ErrCompacted)
 		}
-		return nil, nil, fmt.Errorf("serve: watch from %d: %d of %d catch-up versions %w", fromSeq, want-uint64(len(replay)), want, ErrCompacted)
 	}
 	buf := s.watchBuf
 	if buf < 1 {
@@ -200,7 +207,7 @@ func (s *Store[T]) Watch(ctx context.Context, fromSeq uint64) (<-chan Change[T],
 		buf = len(replay)
 	}
 	s.watchSeq++
-	w := &watcher[T]{id: s.watchSeq, ch: make(chan Change[T], buf+1), limit: buf}
+	w := &watcher[T]{id: s.watchSeq, ch: make(chan Change[T], buf+1), from: fromSeq, limit: buf}
 	for _, v := range replay {
 		w.ch <- Change[T]{Version: v, Changes: v.changes}
 	}
@@ -212,8 +219,16 @@ func (s *Store[T]) Watch(ctx context.Context, fromSeq uint64) (<-chan Change[T],
 	}
 	s.mu.Unlock()
 
+	// stop releases the ctx goroutine. Both the CancelFunc and a ctx
+	// cancel may race to detach, so the detach runs exactly once.
 	stop := make(chan struct{})
-	cancel := func() { s.unwatch(w, stop) }
+	var once sync.Once
+	cancel := func() {
+		once.Do(func() {
+			s.unwatch(w)
+			close(stop)
+		})
+	}
 	if ctx != nil && ctx.Done() != nil {
 		go func() {
 			select {
@@ -235,22 +250,17 @@ func (s *Store[T]) Watchers() int {
 
 // unwatch detaches a watcher: the CancelFunc path. It closes the channel
 // only if the publisher has not already evicted (and closed) it.
-func (s *Store[T]) unwatch(w *watcher[T], stop chan struct{}) {
+func (s *Store[T]) unwatch(w *watcher[T]) {
 	s.mu.Lock()
-	if !w.gone {
-		w.gone = true
-		s.removeWatcher(w.id)
-		close(w.ch)
-		if m := s.met; m != nil {
-			m.watchers.Set(float64(len(s.watchers)))
-		}
+	defer s.mu.Unlock()
+	if w.gone {
+		return
 	}
-	s.mu.Unlock()
-	// Release the ctx goroutine. Guarded: CancelFunc is idempotent.
-	select {
-	case <-stop:
-	default:
-		close(stop)
+	w.gone = true
+	s.removeWatcher(w.id)
+	close(w.ch)
+	if m := s.met; m != nil {
+		m.watchers.Set(float64(len(s.watchers)))
 	}
 }
 
@@ -280,7 +290,11 @@ func (s *Store[T]) notifyWatchers(v *Version[T]) {
 	}
 	c := Change[T]{Version: v, Changes: v.changes}
 	var evicted []*watcher[T]
+	delivered := 0
 	for _, w := range s.watchers {
+		if v.seq <= w.from {
+			continue // subscribed ahead of this version: still waiting
+		}
 		if len(w.ch) >= w.limit {
 			// Buffer full: the reserved slot carries the eviction notice
 			// (metadata only — the payload the subscriber missed is not
@@ -292,12 +306,13 @@ func (s *Store[T]) notifyWatchers(v *Version[T]) {
 			continue
 		}
 		w.ch <- c
+		delivered++
 	}
 	for _, w := range evicted {
 		s.removeWatcher(w.id)
 	}
 	if m := s.met; m != nil {
-		m.deliveries.Add(int64(len(s.watchers)))
+		m.deliveries.Add(int64(delivered))
 		if len(evicted) > 0 {
 			m.evictions.Add(int64(len(evicted)))
 			m.watchers.Set(float64(len(s.watchers)))

@@ -114,8 +114,42 @@ func TestWatchCompactedBoundary(t *testing.T) {
 			t.Fatalf("seq = %d, want %d", got, want)
 		}
 	}
-	if _, _, err := s.Watch(context.Background(), 9); err == nil || errors.Is(err, ErrCompacted) {
-		t.Fatalf("Watch(from=9) = %v, want a plain future-seq error", err)
+}
+
+// TestWatchAheadOfLatestWaits pins the contract for a fromSeq ahead of
+// the latest version: Watch succeeds, delivers nothing until version
+// fromSeq+1 is published, and then streams gaplessly from there. A
+// subscription cancelled while it waits closes its channel.
+func TestWatchAheadOfLatestWaits(t *testing.T) {
+	s := NewStore[payload](8)
+	publishN(s, 1, 2)
+	ch, cancel, err := s.Watch(context.Background(), 5)
+	if err != nil {
+		t.Fatalf("Watch(from=5) with latest 2 = %v, want a waiting subscription", err)
+	}
+	defer cancel()
+	publishN(s, 3, 5)
+	select {
+	case c := <-ch:
+		t.Fatalf("delivered seq %d before seq 6 was published", c.Seq())
+	default:
+	}
+	publishN(s, 6, 7)
+	for want := 6; want <= 7; want++ {
+		c, ok := recv(t, ch)
+		if !ok || c.Evicted || c.Seq() != uint64(want) {
+			t.Fatalf("change = seq %d ok=%v evicted=%v, want seq %d", c.Seq(), ok, c.Evicted, want)
+		}
+	}
+
+	ctx, stop := context.WithCancel(context.Background())
+	waiting, _, err := s.Watch(ctx, 99)
+	if err != nil {
+		t.Fatalf("Watch(from=99) = %v, want a waiting subscription", err)
+	}
+	stop()
+	if c, ok := recv(t, waiting); ok {
+		t.Fatalf("cancelled waiting subscription delivered seq %d, want close", c.Seq())
 	}
 }
 
@@ -201,6 +235,39 @@ func TestWatchCancel(t *testing.T) {
 	}
 	if got := s.Watchers(); got != 0 {
 		t.Fatalf("Watchers = %d after cancel, want 0", got)
+	}
+}
+
+// TestWatchCancelRacesContext races the CancelFunc against a context
+// cancel on the same subscription, many times: the detach must happen
+// exactly once (no double close of the ctx goroutine's stop channel or
+// the subscription channel), and the channel must end closed.
+func TestWatchCancelRacesContext(t *testing.T) {
+	s := NewStore[payload](8)
+	for i := 0; i < 200; i++ {
+		ctx, stop := context.WithCancel(context.Background())
+		ch, cancel, err := s.Watch(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); <-start; stop() }()
+		go func() { defer wg.Done(); <-start; cancel() }()
+		close(start)
+		wg.Wait()
+		cancel() // still idempotent after the race
+		if _, ok := recv(t, ch); ok {
+			t.Fatalf("round %d: channel delivered after cancel, want close", i)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Watchers() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.Watchers(); got != 0 {
+		t.Fatalf("Watchers = %d after every subscription was cancelled, want 0", got)
 	}
 }
 

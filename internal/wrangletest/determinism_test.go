@@ -11,9 +11,11 @@ var shardCounts = []int{1, 2, 4, 8}
 
 // TestShardedPipelineMatchesSequential is the acceptance property: for
 // randomized universes and randomized feedback/refresh interleavings,
-// the sharded integration tail is byte-identical to the sequential one —
-// table, fused results, report, trust, clustering and provenance — at
-// shard counts 1/2/4/8, after the initial run and after every reaction.
+// the default session's tail output equals the from-scratch reference
+// recompute (whole-union resolve and fuse), and the tail at shard counts
+// 1/2/4/8 is byte-identical to the default session — table, fused
+// results, report, trust, clustering and provenance — after the initial
+// run and after every reaction.
 func TestShardedPipelineMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline determinism sweep is not -short")
@@ -31,8 +33,9 @@ func TestShardedPipelineMatchesSequential(t *testing.T) {
 // property: for randomized universes and randomized feedback/refresh
 // interleavings, a streaming session — which re-resolves and re-fuses
 // only the shards each reaction dirtied — is byte-identical to the
-// sequential full-tail baseline at shard counts 1/2/4/8, after the
-// initial run and after every reaction. The reuse total must be positive
+// full-tail baseline (itself checked against the reference recompute)
+// at shard counts 1/2/4/8, after the initial run and after every
+// reaction. The reuse total must be positive
 // across the sweep: a streaming path that silently fell back to full
 // recompute would pass the identity check without testing anything.
 func TestStreamingPipelineMatchesFullTail(t *testing.T) {
@@ -50,8 +53,9 @@ func TestStreamingPipelineMatchesFullTail(t *testing.T) {
 
 // TestParallelTrustPipelineMatchesFullTail extends the streaming sweep
 // across the trust fixpoint's worker fan-out: streaming sessions at
-// workers 1/2/4/8 × shards 1/4 must stay byte-identical to a strictly
-// sequential (workers=1) full-tail baseline after the initial run and
+// workers 1/2/4/8 × shards 1/4 must stay byte-identical to a one-worker
+// full-tail baseline (itself checked against the reference recompute)
+// after the initial run and
 // after every reaction. The adopted-component total must be positive
 // across the sweep: a warm path that silently recomputed every component
 // would pass the identity check without testing the short-circuit.

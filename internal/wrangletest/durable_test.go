@@ -211,9 +211,11 @@ func TestDurableWarmRestartFingerprint(t *testing.T) {
 	}
 }
 
-// TestDurableSequentialRoundTrip pins the mode-0 record path: a session
-// with a sequential integration tail (no shards, no pages) round-trips
-// through the log just as exactly.
+// TestDurableSequentialRoundTrip pins the default session — the zero
+// shard count (one shard), no streaming — round-tripping through the log
+// just as exactly. The inline (mode-0) version records a log written
+// without shard pages carries are pinned by internal/core's
+// TestLegacyDefaultLogAttaches.
 func TestDurableSequentialRoundTrip(t *testing.T) {
 	const (
 		seed     = int64(5)
@@ -241,12 +243,12 @@ func TestDurableSequentialRoundTrip(t *testing.T) {
 
 	restored := reopen(t, dir, seed, nSources, 0, false, script)
 	if want, got := Fingerprint(live), Fingerprint(restored); want != got {
-		t.Fatalf("restored sequential session diverged:\n%s", firstDiff(want, got))
+		t.Fatalf("restored default session diverged:\n%s", firstDiff(want, got))
 	}
-	compareStores(t, "sequential reopen", live.Serve, restored.Serve)
+	compareStores(t, "default reopen", live.Serve, restored.Serve)
 
-	// Sequential sessions react too — feedback replay must leave both
-	// sides identical.
+	// Default sessions react too — feedback replay must leave both sides
+	// identical.
 	target := live.SelectedSources()[0]
 	if _, err := live.RefreshSourcesContext(ctx, []string{target}); err != nil {
 		t.Fatalf("live refresh: %v", err)
@@ -255,7 +257,7 @@ func TestDurableSequentialRoundTrip(t *testing.T) {
 		t.Fatalf("restored refresh: %v", err)
 	}
 	if want, got := Fingerprint(live), Fingerprint(restored); want != got {
-		t.Fatalf("sequential post-restart reaction diverged:\n%s", firstDiff(want, got))
+		t.Fatalf("default post-restart reaction diverged:\n%s", firstDiff(want, got))
 	}
 }
 

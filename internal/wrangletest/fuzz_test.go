@@ -17,7 +17,8 @@ import (
 // contract: every input derives a small universe, a shard count, a trust
 // worker count and a randomized feedback/refresh script, and the
 // streaming session's artefact fingerprints must stay byte-identical to
-// the strictly sequential full-tail baseline after every step
+// the one-worker full-tail baseline, itself checked against the
+// from-scratch reference recompute, after every step
 // (CheckParallelTrustDeterminism also tallies component adoption, so the
 // fuzzer exercises the warm short-circuit, the recompute path and the
 // trust fan-out at workers 1/2/4/8). Runs as a short CI smoke

@@ -1,15 +1,18 @@
 // Package wrangletest is the determinism and property-test harness for
-// the wrangling pipeline. The sharded integration tail's whole contract
-// is "byte-identical results, faster" — example tests cannot pin that,
-// so this package provides what can: a seeded-random universe and table
-// generator, a randomized feedback/refresh script driver, and an
-// invariant checker that fingerprints every read-side artefact (table,
-// report, fused results, trust, clustering, provenance) and asserts the
-// sharded tail reproduces the sequential tail bit for bit at every shard
-// count, after every reaction. The experience with coverage-guided DBMS
-// fuzzing (Wang et al.) applies directly: randomized, invariant-checked
-// workloads, not examples, are what keep a concurrent data system
-// honest — the same generators back the package's fuzz target.
+// the wrangling pipeline. The integration tail's whole contract is
+// "byte-identical results at every shard count, faster" — example tests
+// cannot pin that, so this package provides what can: a seeded-random
+// universe and table generator, a randomized feedback/refresh script
+// driver and a fingerprint of every read-side artefact (table, report,
+// fused results, trust, clustering, provenance). Its tests add an
+// independent from-scratch reference recompute of the tail
+// (reference_test.go) and invariant checkers (pipeline_test.go)
+// asserting that the default session matches the reference and every
+// shard count reproduces the default session bit for bit, after every
+// reaction. The experience with coverage-guided DBMS fuzzing (Wang et
+// al.) applies directly: randomized, invariant-checked workloads, not
+// examples, are what keep a concurrent data system honest — the same
+// generators back the package's fuzz targets.
 package wrangletest
 
 import (
@@ -18,7 +21,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -33,7 +35,7 @@ import (
 
 // NewWrangler builds a product-domain wrangler over a fresh synthetic
 // universe derived from seed, with the given integration shard count
-// (0 = sequential tail). Two calls with equal arguments build wranglers
+// (0 = the default, one shard). Two calls with equal arguments build wranglers
 // over byte-identical worlds — the baseline/variant pairs the
 // determinism checks compare.
 func NewWrangler(seed int64, nSources, shards int) *core.Wrangler {
@@ -227,203 +229,16 @@ func Script(rng *rand.Rand, ref *core.Wrangler, steps int) []Step {
 	return out
 }
 
-// CheckDeterminism is the invariant checker: it runs a sequential
-// baseline and one sharded variant per shard count over byte-identical
-// universes, drives all of them through the same seeded-random
-// feedback/refresh script, and asserts every variant fingerprints
-// byte-identically to the baseline after the initial run and after every
-// step.
-func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, shardCounts []int) {
-	t.Helper()
-	ctx := context.Background()
-	base := NewWrangler(seed, nSources, 0)
-	if _, err := base.Run(); err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-	type variant struct {
-		shards int
-		w      *core.Wrangler
-	}
-	var variants []variant
-	for _, n := range shardCounts {
-		w := NewWrangler(seed, nSources, n)
-		if _, err := w.Run(); err != nil {
-			t.Fatalf("sharded(%d) run: %v", n, err)
-		}
-		variants = append(variants, variant{shards: n, w: w})
-	}
-	compare := func(stage string) {
-		t.Helper()
-		want := Fingerprint(base)
-		for _, v := range variants {
-			if got := Fingerprint(v.w); got != want {
-				t.Fatalf("shards=%d diverged from sequential at %s:\n%s",
-					v.shards, stage, firstDiff(want, got))
-			}
-		}
-	}
-	compare("initial run")
-
-	rng := rand.New(rand.NewSource(seed*7919 + 13))
-	for _, step := range Script(rng, base, steps) {
-		_, refErr, err := step.Apply(ctx, base)
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", step.Name, err)
-		}
-		for _, v := range variants {
-			_, vErr, err := step.Apply(ctx, v.w)
-			if err != nil {
-				t.Fatalf("%s: shards=%d: %v", step.Name, v.shards, err)
-			}
-			if vErr != refErr {
-				t.Fatalf("%s: shards=%d error diverged:\nsequential: %q\nsharded:    %q",
-					step.Name, v.shards, refErr, vErr)
-			}
-		}
-		compare(step.Name)
-	}
+// firstDiff renders the first differing line of a baseline and a variant
+// fingerprint.
+func firstDiff(want, got string) string {
+	return lineDiff(want, got, "baseline", "variant")
 }
 
-// CheckStreamingDeterminism is the streaming acceptance property: a
-// sequential full-tail baseline and one streaming variant per shard
-// count run byte-identical universes through the same seeded-random
-// feedback/refresh script, and every variant must fingerprint
-// identically to the baseline after every step — while recomputing only
-// its dirty shards. It returns the total shards reused across all
-// variants and steps, so callers can additionally assert the partial
-// tail actually engaged (a streaming path that silently fell back to
-// full recompute would pass the identity check vacuously).
-func CheckStreamingDeterminism(t testing.TB, seed int64, nSources, steps int, shardCounts []int) int {
-	t.Helper()
-	ctx := context.Background()
-	base := NewWrangler(seed, nSources, 0)
-	if _, err := base.Run(); err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-	type variant struct {
-		shards int
-		w      *core.Wrangler
-	}
-	var variants []variant
-	for _, n := range shardCounts {
-		w := NewStreamingWrangler(seed, nSources, n)
-		if _, err := w.Run(); err != nil {
-			t.Fatalf("streaming(%d) run: %v", n, err)
-		}
-		variants = append(variants, variant{shards: n, w: w})
-	}
-	compare := func(stage string) {
-		t.Helper()
-		want := Fingerprint(base)
-		for _, v := range variants {
-			if got := Fingerprint(v.w); got != want {
-				t.Fatalf("streaming shards=%d diverged from full tail at %s:\n%s",
-					v.shards, stage, firstDiff(want, got))
-			}
-		}
-	}
-	compare("initial run")
-
-	reused := 0
-	rng := rand.New(rand.NewSource(seed*7919 + 13))
-	for _, step := range Script(rng, base, steps) {
-		_, refErr, err := step.Apply(ctx, base)
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", step.Name, err)
-		}
-		for _, v := range variants {
-			stats, vErr, err := step.Apply(ctx, v.w)
-			if err != nil {
-				t.Fatalf("%s: streaming shards=%d: %v", step.Name, v.shards, err)
-			}
-			if vErr != refErr {
-				t.Fatalf("%s: streaming shards=%d error diverged:\nfull:      %q\nstreaming: %q",
-					step.Name, v.shards, refErr, vErr)
-			}
-			reused += stats.ShardsReused
-		}
-		compare(step.Name)
-	}
-	return reused
-}
-
-// CheckParallelTrustDeterminism extends the streaming acceptance property
-// across the trust fixpoint's worker fan-out: a strictly sequential
-// full-tail baseline (workers=1, so the trust stage runs the sequential
-// per-component reference) against one streaming variant per
-// (workers × shards) pair, all pushed through the same seeded script.
-// Every variant must fingerprint identically to the baseline after every
-// step — pinning that the component fan-out is byte-identical at every
-// worker count while the warm path adopts unchanged components. It
-// returns the total trust components adopted from the memo across all
-// variants and steps, so callers can assert the per-component
-// short-circuit actually engaged.
-func CheckParallelTrustDeterminism(t testing.TB, seed int64, nSources, steps int, workerCounts, shardCounts []int) int {
-	t.Helper()
-	ctx := context.Background()
-	base := NewWrangler(seed, nSources, 0)
-	base.Parallelism = 1
-	if _, err := base.Run(); err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-	type variant struct {
-		workers, shards int
-		w               *core.Wrangler
-	}
-	var variants []variant
-	for _, wk := range workerCounts {
-		for _, n := range shardCounts {
-			w := NewStreamingWrangler(seed, nSources, n)
-			w.Parallelism = wk
-			if _, err := w.Run(); err != nil {
-				t.Fatalf("workers=%d shards=%d run: %v", wk, n, err)
-			}
-			variants = append(variants, variant{workers: wk, shards: n, w: w})
-		}
-	}
-	compare := func(stage string) {
-		t.Helper()
-		want := Fingerprint(base)
-		for _, v := range variants {
-			if got := Fingerprint(v.w); got != want {
-				t.Fatalf("workers=%d shards=%d diverged from sequential full tail at %s:\n%s",
-					v.workers, v.shards, stage, firstDiff(want, got))
-			}
-		}
-	}
-	compare("initial run")
-
-	trustAdopted := 0
-	rng := rand.New(rand.NewSource(seed*7919 + 13))
-	for _, step := range Script(rng, base, steps) {
-		_, refErr, err := step.Apply(ctx, base)
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", step.Name, err)
-		}
-		for _, v := range variants {
-			stats, vErr, err := step.Apply(ctx, v.w)
-			if err != nil {
-				t.Fatalf("%s: workers=%d shards=%d: %v", step.Name, v.workers, v.shards, err)
-			}
-			if vErr != refErr {
-				t.Fatalf("%s: workers=%d shards=%d error diverged:\nfull:     %q\nvariant:  %q",
-					step.Name, v.workers, v.shards, refErr, vErr)
-			}
-			if stats.TrustRecomputed > stats.TrustComponents {
-				t.Fatalf("%s: workers=%d shards=%d recomputed %d of %d trust components",
-					step.Name, v.workers, v.shards, stats.TrustRecomputed, stats.TrustComponents)
-			}
-			trustAdopted += stats.TrustComponents - stats.TrustRecomputed
-		}
-		compare(step.Name)
-	}
-	return trustAdopted
-}
-
-// firstDiff renders the first differing line of two fingerprints with a
+// lineDiff renders the first differing line of two renderings with a
 // little context — a full dump of two multi-hundred-line fingerprints
 // helps nobody.
-func firstDiff(want, got string) string {
+func lineDiff(want, got, wantName, gotName string) string {
 	w := strings.Split(want, "\n")
 	g := strings.Split(got, "\n")
 	n := len(w)
@@ -436,11 +251,11 @@ func firstDiff(want, got string) string {
 			if lo < 0 {
 				lo = 0
 			}
-			return fmt.Sprintf("line %d:\n  context:    %s\n  sequential: %s\n  sharded:    %s",
-				i, strings.Join(w[lo:i], " / "), w[i], g[i])
+			return fmt.Sprintf("line %d:\n  context: %s\n  %s: %s\n  %s: %s",
+				i, strings.Join(w[lo:i], " / "), wantName, w[i], gotName, g[i])
 		}
 	}
-	return fmt.Sprintf("lengths differ: sequential %d lines, sharded %d lines", len(w), len(g))
+	return fmt.Sprintf("lengths differ: %s %d lines, %s %d lines", wantName, len(w), gotName, len(g))
 }
 
 // RandomTable generates a product-shaped table directly from rng: ~nRows

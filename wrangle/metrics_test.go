@@ -44,11 +44,11 @@ func TestMetricsNilWithoutOption(t *testing.T) {
 	}
 }
 
-// TestMetricsStageTimingsSequential drives every reaction origin through
-// a sequential-tail session and asserts each stamps its stage timings:
+// TestMetricsStageTimingsDefault drives every reaction origin through a
+// default (one-shard) session and asserts each stamps its stage timings:
 // the initial run, a full-tail feedback reaction (source relevance), a
 // fuse-only feedback reaction (value confirmation), and a refresh.
-func TestMetricsStageTimingsSequential(t *testing.T) {
+func TestMetricsStageTimingsDefault(t *testing.T) {
 	s, err := wrangle.New(
 		wrangle.WithSeed(7),
 		wrangle.WithSyntheticSources(6),
@@ -64,8 +64,8 @@ func TestMetricsStageTimingsSequential(t *testing.T) {
 	if got := reactions(s, "run"); got != 1 {
 		t.Fatalf("reactions{run} = %d, want 1", got)
 	}
-	// Sequential run graphs have two stages: the per-source fan-out and
-	// the integrate task (fusion runs inside it).
+	// Run graphs stamp the per-source fan-out and the integrate
+	// aggregate over the tail's stages.
 	for _, stage := range []string{"sources", "integrate"} {
 		if stageCount(s, "run", stage) == 0 {
 			t.Errorf("run reaction left no %s stage timing", stage)
@@ -88,15 +88,13 @@ func TestMetricsStageTimingsSequential(t *testing.T) {
 		t.Error("full-tail feedback reaction left no integrate stage timing")
 	}
 
-	// A value confirmation re-fuses without re-integrating: only the fuse
-	// stage may gain an observation.
+	// A value confirmation re-fuses over the stored clustering.
 	v, err := s.View()
 	if err != nil {
 		t.Fatal(err)
 	}
 	line := v.Report().Lines[0]
 	preFuse := stageCount(s, "feedback", "fuse")
-	preIntegrate := stageCount(s, "feedback", "integrate")
 	if _, err := s.ApplyFeedback(ctx, wrangle.Feedback{
 		Kind: wrangle.ValueCorrect, Entity: line.Entity, Attribute: line.Attribute,
 		Worker: "expert", Cost: 0.1,
@@ -105,9 +103,6 @@ func TestMetricsStageTimingsSequential(t *testing.T) {
 	}
 	if got := stageCount(s, "feedback", "fuse"); got <= preFuse {
 		t.Errorf("fuse-only feedback reaction left no fuse stage timing (count %d)", got)
-	}
-	if got := stageCount(s, "feedback", "integrate"); got != preIntegrate {
-		t.Errorf("fuse-only feedback reaction re-integrated: count %d -> %d", preIntegrate, got)
 	}
 
 	if _, err := s.Refresh(ctx, ids[0]); err != nil {
@@ -126,7 +121,9 @@ func TestMetricsStageTimingsSequential(t *testing.T) {
 
 // TestMetricsStageTimingsSharded drives the sharded streaming tail and
 // asserts the shard-reuse telemetry: resolved/reused counters move, the
-// reuse-ratio gauge stays in [0,1], and sharded sessions publish deltas.
+// reuse-ratio gauge stays in [0,1], sharded sessions publish deltas, and
+// a fuse-only feedback reaction re-fuses without re-planning or
+// re-resolving.
 func TestMetricsStageTimingsSharded(t *testing.T) {
 	s, err := wrangle.New(
 		wrangle.WithSeed(21),
@@ -164,6 +161,32 @@ func TestMetricsStageTimingsSharded(t *testing.T) {
 	}
 	if counter(s, "wrangle_publish_delta_total") == 0 {
 		t.Error("sharded reaction did not publish a delta")
+	}
+
+	// A value confirmation re-fuses over the stored clustering: only the
+	// trust/fuse/merge stages may gain an observation.
+	v, err := s.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := v.Report().Lines[0]
+	preFuse := stageCount(s, "feedback", "fuse")
+	preReplan := stageCount(s, "feedback", "replan")
+	preResolve := stageCount(s, "feedback", "resolve")
+	if _, err := s.ApplyFeedback(ctx, wrangle.Feedback{
+		Kind: wrangle.ValueCorrect, Entity: line.Entity, Attribute: line.Attribute,
+		Worker: "expert", Cost: 0.1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := stageCount(s, "feedback", "fuse"); got <= preFuse {
+		t.Errorf("fuse-only feedback reaction left no fuse stage timing (count %d)", got)
+	}
+	if got := stageCount(s, "feedback", "replan"); got != preReplan {
+		t.Errorf("fuse-only feedback reaction re-planned: count %d -> %d", preReplan, got)
+	}
+	if got := stageCount(s, "feedback", "resolve"); got != preResolve {
+		t.Errorf("fuse-only feedback reaction re-resolved: count %d -> %d", preResolve, got)
 	}
 }
 

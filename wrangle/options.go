@@ -209,15 +209,13 @@ func WithParallelism(n int) Option {
 // WithIntegrationShards splits the integration tail — entity resolution
 // and fusion over the union of all selected sources — into n disjoint
 // blocking shards that run as parallel engine tasks and merge
-// deterministically. Results are byte-identical to the sequential tail
-// at every shard count; only the speed and the publication cost change:
-// sharded sessions publish snapshot deltas, so a reaction that leaves a
-// shard's fused rows untouched shares that shard's table records with
-// the predecessor version instead of deep-copying them. n must be at
-// least 1 (1 exercises the sharded machinery and delta publication with
-// a single shard); by default the tail is sequential. Useful shard
-// counts track the worker bound (WithParallelism) — more shards than
-// workers only adds merge bookkeeping.
+// deterministically. Results are byte-identical at every shard count;
+// only the speed changes. n must be at least 1; the default is 1. Every
+// session publishes snapshot deltas: a reaction that leaves a shard's
+// fused rows untouched shares that shard's table records with the
+// predecessor version, so more shards bound a version's delta more
+// tightly. Useful shard counts track the worker bound (WithParallelism)
+// — more shards than workers only adds merge bookkeeping.
 func WithIntegrationShards(n int) Option {
 	return func(s *settings) error {
 		if n < 1 {
@@ -237,9 +235,10 @@ func WithIntegrationShards(n int) Option {
 // records by pointer). Results are byte-identical to the full-tail
 // recompute; only the reaction cost scales with the change instead of
 // the corpus, observable via ReactStats.ShardsResolved /
-// ReactStats.ShardsReused and the per-stage ReactStats.Stages split.
-// Requires WithIntegrationShards: the dirty set is tracked at shard
-// granularity, so a sequential tail has nothing to skip.
+// ReactStats.ShardsReused and the per-stage ReactStats.Stages split. It
+// needs no other option: a one-shard session still re-resolves only the
+// dirty components and reuses its page when its claims and trust held
+// still; more shards (WithIntegrationShards) let more pages be reused.
 func WithStreamingRefresh() Option {
 	return func(s *settings) error {
 		s.streamingRefresh = true

@@ -8,8 +8,8 @@ import (
 )
 
 func TestWithStreamingRefreshValidation(t *testing.T) {
-	if _, err := wrangle.New(wrangle.WithStreamingRefresh()); err == nil {
-		t.Error("WithStreamingRefresh without WithIntegrationShards should be rejected")
+	if _, err := wrangle.New(wrangle.WithStreamingRefresh()); err != nil {
+		t.Errorf("WithStreamingRefresh without WithIntegrationShards rejected: %v", err)
 	}
 	if _, err := wrangle.New(wrangle.WithStreamingRefresh(), wrangle.WithIntegrationShards(4)); err != nil {
 		t.Errorf("WithStreamingRefresh + shards rejected: %v", err)

@@ -15,11 +15,9 @@ import (
 var ErrCompacted = serve.ErrCompacted
 
 // ChangeSet is the publisher's summary of what one committed version
-// changed relative to its predecessor. Sharded sessions
-// (WithIntegrationShards) bound the delta — which shards were rebuilt,
-// which records changed or vanished — while sequential sessions publish
-// Full change sets (no page bookkeeping to diff). Slices are sorted and
-// read-only.
+// changed relative to its predecessor: which shards were rebuilt, which
+// records changed or vanished. The first version (and one that empties
+// the table) is a Full change. Slices are sorted and read-only.
 type ChangeSet = serve.ChangeSet
 
 // CancelFunc detaches a change-feed subscription. Idempotent and safe to
@@ -34,8 +32,8 @@ type CancelFunc = serve.CancelFunc
 type Change struct {
 	// View is pinned to the version this event announces — the same
 	// immutable, copy-on-write snapshot Session.View hands out, so
-	// holding many changes costs O(sum of deltas) on sharded sessions,
-	// not O(events × table).
+	// holding many changes costs O(sum of deltas), not O(events ×
+	// table).
 	View *View
 	// Changes summarises what this version changed against its
 	// predecessor (Full when the session could not bound it).
@@ -73,9 +71,12 @@ func WithWatchBuffer(n int) Option {
 // in order. fromVersion is the last version the caller has already seen:
 // 0 subscribes from the beginning, View.Version() from "now".
 //
+// A fromVersion not yet published is a subscription that waits: the
+// stream starts with version fromVersion+1 once that version commits, and
+// cancelling while it waits closes the channel.
+//
 // Errors: ErrCompacted when catch-up would need a version already pruned
-// from the retention window (re-bootstrap from Session.View), or a plain
-// error when fromVersion has not been published yet.
+// from the retention window (re-bootstrap from Session.View).
 //
 // Delivery is push with a bounded per-subscriber buffer (WithWatchBuffer):
 // a subscriber that stops draining receives one final Change with Evicted

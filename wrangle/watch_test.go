@@ -76,7 +76,7 @@ func TestWatchBeforeRun(t *testing.T) {
 // TestWatchCatchUpAndCompaction pins the retention boundary the facade
 // inherits from the store: fromVersion may reach back exactly to one
 // before the oldest retained version; one further is ErrCompacted, and a
-// future version is a plain error.
+// future version is a subscription that waits for its successor.
 func TestWatchCatchUpAndCompaction(t *testing.T) {
 	s := mustRun(t,
 		wrangle.WithSeed(6),
@@ -118,9 +118,35 @@ func TestWatchCatchUpAndCompaction(t *testing.T) {
 		t.Fatalf("View.At(3) = %v, want retained", err)
 	}
 
-	// A future version is not compaction.
-	if _, _, err := s.Watch(context.Background(), 99); err == nil || errors.Is(err, wrangle.ErrCompacted) {
-		t.Fatalf("Watch(99) = %v, want a plain not-yet-published error", err)
+	// A future version is not compaction: the subscription waits, and
+	// its stream starts with the version after fromVersion.
+	ahead, cancelAhead, err := s.Watch(context.Background(), 5)
+	if err != nil {
+		t.Fatalf("Watch(5) with latest 4 = %v, want a waiting subscription", err)
+	}
+	defer cancelAhead()
+	for i := 0; i < 2; i++ { // versions 5 and 6
+		if _, err := s.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := recvChange(t, ahead).Version(); got != 6 {
+		t.Fatalf("waiting subscription started at v%d, want v6", got)
+	}
+	// Cancelling a subscription that is still waiting closes its channel.
+	ctx, stop := context.WithCancel(context.Background())
+	waiting, _, err := s.Watch(ctx, 99)
+	if err != nil {
+		t.Fatalf("Watch(99) = %v, want a waiting subscription", err)
+	}
+	stop()
+	select {
+	case c, ok := <-waiting:
+		if ok {
+			t.Fatalf("cancelled waiting subscription delivered v%d, want close", c.Version())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled waiting subscription never closed")
 	}
 }
 

@@ -70,13 +70,9 @@ func New(opts ...Option) (*Session, error) {
 		provider = Synthetic(s.seed, s.domain, s.synthSources)
 	}
 
-	if s.streamingRefresh && s.integrationShards < 1 {
-		return nil, fmt.Errorf("wrangle: streaming refresh requires integration shards (add WithIntegrationShards)")
-	}
-
 	w := core.New(provider, cfg, userCtx, dataCtx)
 	w.Parallelism = s.parallelism             // 0 = auto: one worker per CPU
-	w.IntegrationShards = s.integrationShards // 0 = sequential integration tail
+	w.IntegrationShards = s.integrationShards // 0 = one shard
 	w.StreamingRefresh = s.streamingRefresh
 	if s.retainVersions > 0 {
 		// Replaced before the first run, so no reader can hold the default
