@@ -81,14 +81,16 @@ loadtest:
 # the sharded-resolve identity, the end-to-end streaming-refresh
 # identity, the change-feed resume property (no duplicate, out-of-order
 # or torn deliveries across arbitrary publish/subscribe/drain/cancel
-# interleavings), and the WAL replay property (arbitrary bytes never
+# interleavings), the WAL replay property (arbitrary bytes never
 # panic the reader, corruption is detected, the healed log stays
-# appendable). Longer local sessions: go test -fuzz=FuzzSharded
-# -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
+# appendable), and the fusion kernel against its frozen reference.
+# Longer local sessions: go test -fuzz=FuzzSharded -fuzztime=5m
+# ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
 # -fuzz=FuzzWatchResume ./internal/serve, -fuzz=FuzzWALReplay
-# ./internal/wal).
+# ./internal/wal, -fuzz=FuzzFusionKernel ./internal/fusion).
 fuzz:
 	$(GO) test -fuzz=FuzzSharded -fuzztime=10s -run=^$$ ./internal/wrangletest
 	$(GO) test -fuzz=FuzzStreamingRefresh -fuzztime=10s -run=^$$ ./internal/wrangletest
 	$(GO) test -fuzz=FuzzWatchResume -fuzztime=10s -run=^$$ ./internal/serve
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/wal
+	$(GO) test -fuzz=FuzzFusionKernel -fuzztime=10s -run=^$$ ./internal/fusion

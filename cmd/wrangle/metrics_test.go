@@ -46,6 +46,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		`wrangle_reactions_total{origin="refresh"} 1`,
 		"# TYPE wrangle_stage_seconds histogram",
 		"wrangle_serve_publishes_total 2",
+		"# TYPE wrangle_trust_groups_prepared_total counter",
+		"# TYPE wrangle_replan_affected_rows_total counter",
+		"# TYPE wrangle_replan_rows_prepared_total counter",
+		"# TYPE wrangle_replan_dirty_components_total counter",
+		"# TYPE wrangle_replan_reused_components_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)

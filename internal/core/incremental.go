@@ -59,7 +59,12 @@ type ReactStats struct {
 	// fixpoint ran (non-TruthFinder policy, empty tail).
 	TrustComponents int
 	TrustRecomputed int
-	Duration        time.Duration
+	// TrustGroupsPrepared is how many (entity, attribute) claim groups
+	// the trust estimation bucketed afresh; the rest carried their
+	// prepared buckets from the warm memo. Cold tails prepare every
+	// group; zero when no fixpoint ran.
+	TrustGroupsPrepared int
+	Duration            time.Duration
 	// Stages attributes the reaction's wall clock: "reextract" covers the
 	// per-source re-extraction fan-out and "integrate" the whole
 	// integration tail, split further by DAG stage — "replan" (union

@@ -35,6 +35,11 @@ const (
 	mTrustComps     = "wrangle_trust_components"
 	mTrustReused    = "wrangle_trust_components_reused_total"
 	mTrustIters     = "wrangle_trust_component_iterations"
+	mTrustPrepared  = "wrangle_trust_groups_prepared_total"
+	mAffectedRows   = "wrangle_replan_affected_rows_total"
+	mRowsPrepared   = "wrangle_replan_rows_prepared_total"
+	mDirtyComps     = "wrangle_replan_dirty_components_total"
+	mReusedComps    = "wrangle_replan_reused_components_total"
 )
 
 // trustIterBuckets bounds the per-component fixpoint iteration histogram:
@@ -64,6 +69,11 @@ type pipelineMetrics struct {
 	version        *obs.Gauge
 	trustComps     *obs.Gauge
 	trustReused    *obs.Counter
+	trustPrepared  *obs.Counter
+	affectedRows   *obs.Counter
+	rowsPrepared   *obs.Counter
+	dirtyComps     *obs.Counter
+	reusedComps    *obs.Counter
 }
 
 // SetMetrics enables telemetry on the wrangler: pipeline counters and
@@ -95,6 +105,11 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 		version:        reg.Gauge(mVersion),
 		trustComps:     reg.Gauge(mTrustComps),
 		trustReused:    reg.Counter(mTrustReused),
+		trustPrepared:  reg.Counter(mTrustPrepared),
+		affectedRows:   reg.Counter(mAffectedRows),
+		rowsPrepared:   reg.Counter(mRowsPrepared),
+		dirtyComps:     reg.Counter(mDirtyComps),
+		reusedComps:    reg.Counter(mReusedComps),
 	}
 	reg.Histogram(mTrustIters, trustIterBuckets())
 	reg.Help(mTasks, "Engine DAG tasks completed (all graphs).")
@@ -106,6 +121,11 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 	reg.Help(mTrustComps, "Trust-coupled components in the last tail's trust estimation.")
 	reg.Help(mTrustReused, "Trust components adopted from the warm memo without re-iterating.")
 	reg.Help(mTrustIters, "Fixpoint iterations per recomputed trust component.")
+	reg.Help(mTrustPrepared, "Claim groups whose value buckets trust estimation built afresh (the rest were carried from the warm memo).")
+	reg.Help(mAffectedRows, "Union rows streaming re-plans found touched by a delta (dirty rows plus rows sharing a changed block or constraint).")
+	reg.Help(mRowsPrepared, "Union rows whose matcher features streaming re-plans derived (the rest were carried).")
+	reg.Help(mDirtyComps, "Block-connected plan components streaming re-plans re-resolved.")
+	reg.Help(mReusedComps, "Block-connected plan components streaming re-plans carried over by reference.")
 	w.met = m
 	if w.Serve != nil {
 		w.Serve.Instrument(reg)
@@ -172,12 +192,18 @@ func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *Publ
 		m.shardsReused.Add(int64(reused))
 		m.reuseRatio.Set(float64(reused) / float64(resolved+reused))
 	}
+	// The re-plan frontier is zero on every tail but a streaming re-plan.
+	m.affectedRows.Add(int64(react.AffectedRows))
+	m.rowsPrepared.Add(int64(react.RowsPrepared))
+	m.dirtyComps.Add(int64(react.DirtyComponents))
+	m.reusedComps.Add(int64(react.ReusedComponents))
 	// w.lastTrust describes exactly the tail this publication came from
 	// (runTail/RunContext reset it per tail), so it is the one source of
 	// truth for both run and reaction origins.
 	if ts := w.lastTrust; ts.Components > 0 {
 		m.trustComps.Set(float64(ts.Components))
 		m.trustReused.Add(int64(ts.Components - ts.Recomputed))
+		m.trustPrepared.Add(int64(ts.GroupsPrepared))
 		h := m.reg.Histogram(mTrustIters, trustIterBuckets())
 		for _, it := range ts.Iterations {
 			h.Observe(float64(it))

@@ -132,6 +132,7 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	defer func() {
 		stats.TrustComponents = w.lastTrust.Components
 		stats.TrustRecomputed = w.lastTrust.Recomputed
+		stats.TrustGroupsPrepared = w.lastTrust.GroupsPrepared
 	}()
 	g := engine.NewGraph()
 	sr := &shardRun{}

@@ -334,7 +334,8 @@ func (sr *shardRun) estimateTrust(w *Wrangler) {
 // shardFuseStage fuses one shard's groups under the globally estimated
 // trust and materialises the shard's page. Each group holds its claims
 // in row order, as a whole-union fuse sees them — bucket
-// representatives and vote accumulation match bit for bit. When the
+// representatives and vote accumulation match bit for bit — and votes
+// over the buckets the trust estimation already prepared for it. When the
 // shard's claims and the effective trust of every source claiming in it
 // are unchanged from the memoized tail, the previous page — entities,
 // records and results — is adopted by reference instead: fusion

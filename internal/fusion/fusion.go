@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/text"
 )
 
 // Claim is one source's assertion of an attribute value for an entity.
@@ -66,7 +65,7 @@ type Options struct {
 	Policy Policy
 	// Trust maps source id -> prior trust in (0,1]. Missing sources get
 	// DefaultTrust. Updated in place by TruthFinder iterations.
-	Trust        map[string]float64
+	Trust map[string]float64
 	// Pinned marks sources whose trust is externally established (e.g.
 	// derived from user feedback) and must not be overwritten by
 	// TruthFinder's iterative estimation.
@@ -131,10 +130,13 @@ func (o Options) normalized() Options {
 // determinism contract — bucket representatives and float accumulation
 // follow them — so one grouping serves trust estimation and per-group
 // fusion alike, and fusing any subset of Keys yields exactly the results
-// those groups get inside a whole-set fuse.
+// those groups get inside a whole-set fuse. A TruthFinder estimation
+// leaves the groups' prepared buckets on the grouping, and Fuse votes
+// over them instead of bucketing the claims again.
 type Groups struct {
 	Keys   []string
 	Claims map[string][]Claim
+	prep   *prepared
 }
 
 // GroupClaims partitions claims by (entity, attribute).
@@ -176,51 +178,42 @@ func GroupClaims(claims []Claim) Groups {
 }
 
 // Fuse resolves all claims into one result per (entity, attribute).
-// Results are sorted by entity then attribute for determinism.
+// Results are sorted by entity then attribute for determinism. A
+// TruthFinder fuse writes the estimated trust into opts.Trust.
 func Fuse(claims []Claim, opts Options) []Result {
-	out, _, _ := FuseParallel(claims, opts, 1)
-	return out
-}
-
-// FuseParallel is Fuse with the TruthFinder fixpoint fanned out over
-// workers goroutines (per trust-coupled component — byte-identical to
-// Fuse at any worker count), returning the resolved options and the
-// component stats alongside the results. Claims are grouped once and
-// shared between trust estimation and per-group fusion.
-func FuseParallel(claims []Claim, opts Options, workers int) ([]Result, Options, TrustStats) {
 	g := GroupClaims(claims)
-	opts, st := g.EstimateTrust(opts, workers)
-	return g.Fuse(g.Keys, opts), opts, st
+	opts, _ = g.EstimateTrust(opts, 1)
+	return g.Fuse(g.Keys, opts)
 }
 
-// EstimateTrust runs the global half of fusion — the TruthFinder trust
-// fixpoint over the full claim set — and returns options with the
+// EstimateTrustParallel runs the global half of fusion — the TruthFinder
+// trust fixpoint over the full claim set — and returns options with the
 // estimated per-source trust filled in (for other policies it only fills
 // defaults). The returned options are ready for FuseResolved over any
 // partition of the same claims: trust estimation is the only stage of
 // fusion that couples (entity, attribute) groups to each other, so once
-// it has run, disjoint claim subsets fuse independently.
-func EstimateTrust(claims []Claim, opts Options) Options {
-	opts, _ = EstimateTrustParallel(claims, opts, 1)
-	return opts
-}
-
-// EstimateTrustParallel is EstimateTrust with the per-component fixpoints
-// fanned out over workers goroutines. The component partition makes the
-// fan-out exact rather than approximate — see runTrustFixpoint — so the
-// result is byte-identical to EstimateTrust at any worker count. The
-// returned TrustStats reports the component shape of the estimation.
+// it has run, disjoint claim subsets fuse independently. The
+// per-component fixpoints fan out over workers goroutines; the component
+// partition makes the fan-out exact rather than approximate — see
+// runTrustFixpoint — so the result is byte-identical at any worker
+// count. The returned TrustStats reports the component shape of the
+// estimation.
 func EstimateTrustParallel(claims []Claim, opts Options, workers int) (Options, TrustStats) {
-	return GroupClaims(claims).EstimateTrust(opts, workers)
+	g := GroupClaims(claims)
+	return g.EstimateTrust(opts, workers)
 }
 
-// EstimateTrust is EstimateTrustParallel over an existing grouping.
-func (g Groups) EstimateTrust(opts Options, workers int) (Options, TrustStats) {
+// EstimateTrust is EstimateTrustParallel over an existing grouping. A
+// TruthFinder estimation prepares every group and keeps the prepared
+// form on g for Fuse.
+func (g *Groups) EstimateTrust(opts Options, workers int) (Options, TrustStats) {
 	opts = opts.normalized()
-	var st TrustStats
-	if opts.Policy == TruthFinder {
-		st = estimateTrust(g.Claims, g.Keys, &opts, workers)
+	if opts.Policy != TruthFinder {
+		return opts, TrustStats{}
 	}
+	g.prep, _ = prepareGroups(g, nil, nil, opts.NumericTolerance, workers)
+	st := runTrustFixpoint(g.Keys, g.prep, &opts, workers)
+	st.GroupsPrepared = len(g.Keys)
 	return opts, st
 }
 
@@ -237,15 +230,142 @@ func FuseResolved(claims []Claim, opts Options) []Result {
 }
 
 // Fuse is FuseResolved over the groups named by keys — a sorted subset
-// of g.Keys — returning one result per key, in keys order. Fusing
-// disjoint key subsets concurrently under one options value is safe.
-func (g Groups) Fuse(keys []string, opts Options) []Result {
+// of g.Keys — returning one result per key, in keys order. Groups the
+// trust estimation prepared under the same tolerance are fused from
+// their prepared buckets; any other group is bucketed into local
+// scratch. Fusing disjoint key subsets concurrently under one options
+// value is safe.
+func (g *Groups) Fuse(keys []string, opts Options) []Result {
 	opts = opts.normalized()
 	out := make([]Result, len(keys))
+	var f fuser
+	p := g.prep
+	if p != nil && p.tol != opts.NumericTolerance {
+		p = nil
+	}
+	if p != nil && usesTrust(opts.Policy) {
+		// One trust lookup per source instead of one per claim.
+		f.trust = make([]float64, len(p.dict.names))
+		for id, name := range p.dict.names {
+			f.trust[id] = trustOf(name, opts)
+		}
+	}
+	j := 0 // keys is a sorted subset of g.Keys: p.groups[j] is k's
 	for i, k := range keys {
-		out[i] = fuseGroup(g.Claims[k], opts)
+		claims := g.Claims[k]
+		if p == nil {
+			out[i] = f.fuse(claims, f.local(claims, opts.NumericTolerance), nil, opts)
+			continue
+		}
+		for g.Keys[j] != k {
+			j++
+		}
+		pg := p.groups[j]
+		out[i] = f.fuse(claims, pg.fuseBuckets(), pg.src, opts)
 	}
 	return out
+}
+
+// fuser is one Fuse call's scratch, reused across its groups.
+type fuser struct {
+	// trust holds every dictionary source's effective trust when the
+	// groups are prepared and the policy reads trust; nil otherwise.
+	trust []float64
+	w, s  []float64
+	order []int
+	sc    prepScratch
+}
+
+// local buckets a group with no prepared form into the fuser's scratch.
+func (f *fuser) local(claims []Claim, tol float64) *buckets {
+	scaled := reconcileUnits(claims)
+	vals, at := values(claims, scaled, f.sc.vals[:0], f.sc.at[:0])
+	f.sc.reps = formBuckets(&f.sc.bk, vals, at, scaled, tol, f.sc.reps[:0])
+	f.sc.vals, f.sc.at = vals, at
+	return &f.sc.bk
+}
+
+// fuse votes one group's claims into its buckets and picks the winner:
+// the heaviest bucket, ties broken by normalised text. Each non-null
+// claim adds its vote weight to its bucket in claim order; the total is
+// summed from the heaviest bucket down. src holds the non-null claims'
+// dictionary source ids (nil for a locally bucketed group).
+func (f *fuser) fuse(claims []Claim, bk *buckets, src []int32, opts Options) Result {
+	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
+	n := len(bk.norms)
+	if n == 0 {
+		res.Value = dataset.Null()
+		return res
+	}
+	if cap(f.w) < n {
+		f.w, f.s = make([]float64, n), make([]float64, n)
+	}
+	w := f.w[:n]
+	clear(w)
+	trusted := usesTrust(opts.Policy)
+	ci := 0
+	for _, c := range claims {
+		if c.Value.IsNull() {
+			continue
+		}
+		var t float64
+		if trusted && f.trust != nil {
+			t = f.trust[src[ci]]
+		} else if trusted {
+			t = trustOf(c.SourceID, opts)
+		}
+		w[bk.of[ci]] += voteWeight(c, t, opts)
+		ci++
+	}
+	best := f.winner(w, bk.norms)
+	total := sumDesc(w, f.s)
+	res.Value = bk.value(claims, best)
+	res.Support = int(bk.count[best])
+	res.Conflict = n > 1
+	if total > 0 {
+		res.Confidence = w[best] / total
+	}
+	return res
+}
+
+// winner returns the bucket fusion picks: the first in (weight desc,
+// normalised text asc) order. Fusion has always taken the head of that
+// order as sort.Slice leaves it. Up to 12 elements sort.Slice is an
+// insertion sort, hence stable, so among buckets equal in weight and
+// text the first created wins — what the scan keeps. Beyond 12 it is
+// not stable, so a full tie at the head is settled by the same sort.
+func (f *fuser) winner(w []float64, norms []string) int {
+	best, tied := 0, false
+	for i := 1; i < len(w); i++ {
+		switch {
+		case w[i] > w[best] || w[i] == w[best] && norms[i] < norms[best]:
+			best, tied = i, false
+		case w[i] == w[best] && norms[i] == norms[best]:
+			tied = true
+		}
+	}
+	if !tied || len(w) <= 12 {
+		return best
+	}
+	f.order = f.order[:0]
+	for i := range w {
+		f.order = append(f.order, i)
+	}
+	return sortedHead(f.order, w, norms)
+}
+
+// sortedHead sorts order (bucket indices) exactly as fusion's bucket sort
+// would and returns its head. It is its own function so the sort's
+// heap-allocated closure is paid only on this rare path.
+func sortedHead(order []int, w []float64, norms []string) int {
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if w[a] != w[b] {
+			return w[a] > w[b]
+		}
+		return norms[a] < norms[b]
+	})
+	return order[0]
 }
 
 // MergeResults merges per-shard result slices (each sorted, with disjoint
@@ -286,121 +406,19 @@ func (k *keyedResults) Swap(i, j int) {
 	k.results[i], k.results[j] = k.results[j], k.results[i]
 }
 
-// bucket groups equivalent claimed values.
-type bucket struct {
-	rep    dataset.Value
-	norm   string
-	weight float64
-	count  int
+// usesTrust reports whether a policy's vote weight reads source trust.
+func usesTrust(p Policy) bool {
+	return p == WeightedVote || p == TruthFinder || p == FreshnessWeighted
 }
 
-func fuseGroup(claims []Claim, opts Options) Result {
-	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
-	claims = reconcileUnits(claims)
-	buckets := bucketize(claims, opts, func(c Claim) float64 { return voteWeight(c, opts) })
-	if len(buckets) == 0 {
-		res.Value = dataset.Null()
-		return res
-	}
-	total := 0.0
-	for _, b := range buckets {
-		total += b.weight
-	}
-	best := buckets[0]
-	res.Value = best.rep
-	res.Support = best.count
-	res.Conflict = len(buckets) > 1
-	if total > 0 {
-		res.Confidence = best.weight / total
-	}
-	return res
-}
-
-// reconcileUnits normalises numeric claims that sit ~100× above the
-// group's median — sources reporting cents instead of dollars. The unit
-// error is syntactic, not a genuine conflict, so it is repaired before
-// voting rather than outvoted.
-func reconcileUnits(claims []Claim) []Claim {
-	var nums []float64
-	for _, c := range claims {
-		if c.Value.IsNumeric() {
-			nums = append(nums, c.Value.FloatVal())
-		}
-	}
-	if len(nums) < 2 {
-		return claims
-	}
-	sort.Float64s(nums)
-	median := nums[len(nums)/2]
-	if median <= 0 {
-		return claims
-	}
-	out := make([]Claim, len(claims))
-	copy(out, claims)
-	for i, c := range out {
-		if !c.Value.IsNumeric() {
-			continue
-		}
-		ratio := c.Value.FloatVal() / median
-		if ratio > 95 && ratio < 105 {
-			out[i].Value = dataset.Float(c.Value.FloatVal() / 100)
-		}
-	}
-	return out
-}
-
-// bucketize groups claims into equivalent-value buckets, weighting each
-// claim by weightFn, and returns buckets sorted by descending weight (ties
-// by normalised value for determinism). Null values are ignored.
-func bucketize(claims []Claim, opts Options, weightFn func(Claim) float64) []bucket {
-	var buckets []bucket
-	for _, c := range claims {
-		if c.Value.IsNull() {
-			continue
-		}
-		w := weightFn(c)
-		placed := false
-		for i := range buckets {
-			if sameValue(buckets[i].rep, c.Value, opts.NumericTolerance) {
-				buckets[i].weight += w
-				buckets[i].count++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			buckets = append(buckets, bucket{rep: c.Value, norm: text.Normalize(c.Value.String()), weight: w, count: 1})
-		}
-	}
-	sort.Slice(buckets, func(i, j int) bool {
-		if buckets[i].weight != buckets[j].weight {
-			return buckets[i].weight > buckets[j].weight
-		}
-		return buckets[i].norm < buckets[j].norm
-	})
-	return buckets
-}
-
-func sameValue(a, b dataset.Value, tol float64) bool {
-	if a.IsNumeric() && b.IsNumeric() {
-		x, y := a.FloatVal(), b.FloatVal()
-		if x == y {
-			return true
-		}
-		den := math.Max(math.Abs(x), math.Abs(y))
-		return den > 0 && math.Abs(x-y)/den <= tol
-	}
-	return text.Normalize(a.String()) == text.Normalize(b.String())
-}
-
-func voteWeight(c Claim, opts Options) float64 {
+// voteWeight is one claim's vote given its source's trust t (unused by
+// policies usesTrust rejects).
+func voteWeight(c Claim, t float64, opts Options) float64 {
 	switch opts.Policy {
-	case MajorityVote:
-		return 1
 	case WeightedVote, TruthFinder:
-		return trustOf(c.SourceID, opts)
+		return t
 	case FreshnessWeighted:
-		w := trustOf(c.SourceID, opts)
+		w := t
 		if !opts.Now.IsZero() && !c.AsOf.IsZero() && opts.HalfLife > 0 {
 			age := opts.Now.Sub(c.AsOf)
 			if age > 0 {
@@ -426,27 +444,6 @@ func TrustOf(trust map[string]float64, defaultTrust float64, sourceID string) fl
 		return t
 	}
 	return defaultTrust
-}
-
-// estimateTrust runs the TruthFinder-style fixpoint: value confidence is
-// the trust-weighted vote share; source trust is the mean confidence of
-// the values the source claims. Trust is written back into opts.Trust.
-// Groups are visited in sorted key order — float accumulation is not
-// associative, so iterating the map directly would make trust (and with
-// it confidences and tie-broken winners) vary run to run.
-// Bucket formation is iteration-invariant (membership depends only on
-// values, not weights), so each group is prepared once and the fixpoint
-// runs over the prepared state, partitioned by trust-coupled component
-// with a per-component convergence break — the reference the
-// float-exactness property tests in trust_test are pinned against.
-// Preparation is per-group pure (each group's buckets depend only on its
-// own claims), so with workers it fans out through the engine alongside
-// the component fixpoints — profiles put prepare ahead of the iteration
-// loop on cold estimations, so parallelising only the fixpoint would
-// leave the larger half of the stage sequential.
-func estimateTrust(groups map[string][]Claim, keys []string, opts *Options, workers int) TrustStats {
-	tg := prepareTrustGroups(groups, keys, opts.NumericTolerance, workers)
-	return runTrustFixpoint(keys, tg, opts, workers)
 }
 
 // Accuracy scores fused results against a truth lookup: the fraction of

@@ -21,9 +21,12 @@ import (
 // only the public whole-set primitives, what the tail must have
 // produced: one constrained resolve over the whole union
 // (er.ResolveConstrained), entity naming, one claim per (row,
-// attribute), one whole-set fuse (fusion.FuseParallel at one worker)
-// and the materialised table. None of the tail's code runs, so a
-// shared bug cannot make the two agree.
+// attribute), one whole-set trust estimation and fuse over one grouping
+// (fusion.GroupClaims, Groups.EstimateTrust at one worker, Groups.Fuse)
+// and the materialised table. None of the tail's code runs, so a shared
+// bug cannot make the two agree; the fusion kernel itself is pinned
+// against a frozen copy of its sort-based predecessor in
+// internal/fusion's kernel tests.
 
 // CheckReference recomputes the integration tail from the wrangler's
 // union, resolver and feedback and compares it with the wrangler's own
@@ -99,7 +102,7 @@ func (o tailOutput) render() string {
 }
 
 // referenceTail is the from-scratch recompute: union → ResolveConstrained
-// → entity names → claims → FuseParallel → materialise.
+// → entity names → claims → trust → fuse → materialise.
 func referenceTail(w *core.Wrangler) (tailOutput, error) {
 	u := w.Union()
 	if u == nil || u.Len() == 0 {
@@ -114,7 +117,9 @@ func referenceTail(w *core.Wrangler) (tailOutput, error) {
 		return tailOutput{}, err
 	}
 	entities := referenceEntityNames(u, clusters, w.Config.KeyColumn)
-	results, opts, _ := fusion.FuseParallel(referenceClaims(w, u, entities), referenceFusionOptions(w), 1)
+	groups := fusion.GroupClaims(referenceClaims(w, u, entities))
+	opts, _ := groups.EstimateTrust(referenceFusionOptions(w), 1)
+	results := groups.Fuse(groups.Keys, opts)
 	return tailOutput{
 		clusters: clusters,
 		entities: entities,

@@ -249,6 +249,54 @@ func TestMetricsRestoredSession(t *testing.T) {
 	}
 }
 
+// TestMetricsDirtyFrontier pins the reaction-frontier counters to the
+// ReactStats they export: a streaming refresh's re-plan frontier
+// (affected rows, rows prepared, dirty and reused plan components) and
+// the trust estimation's freshly prepared claim groups, which the
+// initial run also counts (every group, cold).
+func TestMetricsDirtyFrontier(t *testing.T) {
+	s, err := wrangle.New(
+		wrangle.WithSeed(21),
+		wrangle.WithSyntheticSources(6),
+		wrangle.WithIntegrationShards(2),
+		wrangle.WithStreamingRefresh(),
+		wrangle.WithMetrics(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cold := counter(s, "wrangle_trust_groups_prepared_total")
+	if cold == 0 {
+		t.Fatal("the initial run prepared no trust groups")
+	}
+	stats, err := s.Refresh(ctx, s.SelectedSources()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.AffectedRows == 0 || stats.RowsPrepared == 0 || stats.DirtyComponents+stats.ReusedComponents == 0 {
+		t.Fatalf("streaming refresh reported no re-plan frontier: %+v", stats)
+	}
+	for name, want := range map[string]int{
+		"wrangle_replan_affected_rows_total":     stats.AffectedRows,
+		"wrangle_replan_rows_prepared_total":     stats.RowsPrepared,
+		"wrangle_replan_dirty_components_total":  stats.DirtyComponents,
+		"wrangle_replan_reused_components_total": stats.ReusedComponents,
+		"wrangle_trust_groups_prepared_total":    int(cold) + stats.TrustGroupsPrepared,
+	} {
+		if got := counter(s, name); got != int64(want) {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if stats.TrustGroupsPrepared == 0 || int64(stats.TrustGroupsPrepared) >= cold {
+		t.Errorf("a one-source refresh prepared %d trust groups, want some but fewer than the cold run's %d",
+			stats.TrustGroupsPrepared, cold)
+	}
+}
+
 // TestMetricsScrapeCatalogue scrapes a churning session and asserts the
 // exposition carries every advertised family exactly once, in sorted
 // order — deterministic modulo sample values.
@@ -287,6 +335,11 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 		"wrangle_shard_reuse_ratio",
 		"wrangle_rows",
 		"wrangle_version",
+		"wrangle_trust_groups_prepared_total",
+		"wrangle_replan_affected_rows_total",
+		"wrangle_replan_rows_prepared_total",
+		"wrangle_replan_dirty_components_total",
+		"wrangle_replan_reused_components_total",
 	} {
 		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
 			t.Errorf("family %s appears %d times in the scrape, want 1", family, n)
